@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke fuzz-smoke jit-smoke cluster-smoke verify-smoke examples experiments clean
+.PHONY: test bench bench-report bench-smoke perfbench-smoke fuzz-smoke jit-smoke cluster-smoke verify-smoke examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -23,6 +23,17 @@ bench-report:
 # Fast subset of the report for CI smoke runs.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_report.py --smoke
+
+# Same-host benchmark smoke: every perfbench workload for 3 s, each under
+# a hard timeout.  perfbench exits non-zero on any failed output check
+# (cross-backend RunResult/UART/dirty-page equality, JIT and trace
+# engagement, zero verify escalations).
+perfbench-smoke:
+	@for workload in guest-loops campaigns served-jobs; do \
+		echo "=== perfbench $$workload ==="; \
+		timeout 120 $(PYTHON) perfbench/run.py --workload $$workload \
+			--seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 # Bounded fuzzing smoke: coverage growth + triage parse + determinism.
 fuzz-smoke:

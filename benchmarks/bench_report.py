@@ -7,8 +7,8 @@ numbers the performance work is judged by:
   no plugins), plus the speedup over the recorded pre-specialization
   baseline;
 * ``emulator_compiled`` — the same F1 workload under each execution
-  backend (``interp`` / ``fastpath`` / ``compiled``) with the compiled
-  tier's speedups over both; RunResult parity across backends is
+  backend (``interp`` / ``compiled``) with the compiled tier's speedup
+  over the interpreter; RunResult parity across backends is
   asserted first, and the report fails loudly if the compiled backend
   silently fell back to the interpreter tier;
 * ``emulator_memory`` — the F5 memory-heavy workload (a multi-block
@@ -69,7 +69,7 @@ from repro.asm import assemble  # noqa: E402
 from repro.coverage import measure_coverage  # noqa: E402
 from repro.faultsim import FaultCampaign, MutantBudget, generate_mutants  # noqa: E402
 from repro.isa import RV32IMC_ZICSR  # noqa: E402
-from repro.vp import Machine, MachineConfig  # noqa: E402
+from repro.vp import BACKEND_NAMES, Machine, MachineConfig  # noqa: E402
 
 #: Interpreter speed on this workload before the hot-path specialization
 #: work (fused op tuples, fast-path step selection, block chaining),
@@ -200,9 +200,9 @@ def measure_mips(iters: int, repeats: int):
 
 
 def measure_backend_mips(iters: int, repeats: int):
-    """Per-backend speed on F1: interp vs fastpath vs compiled.
+    """Per-backend speed on F1: interp vs compiled.
 
-    All three runs must produce the same RunResult (stop reason, exit
+    Both runs must produce the same RunResult (stop reason, exit
     code, instruction and cycle counts) — parity is asserted before any
     throughput is recorded.  The compiled run additionally must show the
     JIT actually engaged (blocks compiled, instructions retired in the
@@ -212,7 +212,7 @@ def measure_backend_mips(iters: int, repeats: int):
     program = assemble(WORKLOAD.format(iters=iters), isa=RV32IMC_ZICSR)
     entries = {}
     outcomes = {}
-    for backend in ("interp", "fastpath", "compiled"):
+    for backend in BACKEND_NAMES:
         best = 0.0
         stats = None
         for _ in range(repeats):
@@ -241,9 +241,6 @@ def measure_backend_mips(iters: int, repeats: int):
     entries["compiled_speedup_vs_interp"] = round(
         entries["compiled"]["insns_per_second"]
         / entries["interp"]["insns_per_second"], 3)
-    entries["compiled_speedup_vs_fastpath"] = round(
-        entries["compiled"]["insns_per_second"]
-        / entries["fastpath"]["insns_per_second"], 3)
     return entries
 
 
@@ -260,7 +257,7 @@ def measure_memory_mips(iters: int, repeats: int):
                        isa=RV32IMC_ZICSR)
     entries = {}
     outcomes = {}
-    for backend in ("interp", "fastpath", "compiled"):
+    for backend in BACKEND_NAMES:
         best = 0.0
         jit = mem = None
         for _ in range(repeats):
@@ -631,10 +628,9 @@ def measure_differential_matrix(programs: int, smoke: bool):
     """
     from repro.verify import DiffCampaign, VerifyCampaignConfig
 
-    pair_specs = ["interp:fastpath", "interp:compiled",
-                  "fastpath:compiled", "fastpath:nocache"]
+    pair_specs = ["interp:compiled", "interp:nocache"]
     if not smoke:
-        pair_specs += ["compiled:compiled+traces", "fastpath:ckpt-resume"]
+        pair_specs += ["compiled:compiled+traces", "interp:ckpt-resume"]
     corpus = f"torture:{programs}"
     entry = {"corpus": corpus, "programs": programs, "pairs": {}}
     total_escalations = 0

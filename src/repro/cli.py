@@ -607,6 +607,8 @@ def cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .vp.backends import BACKEND_NAMES, DEFAULT_BACKEND
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Scale4Edge RISC-V ecosystem tools",
@@ -639,8 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "flamegraph tools)")
 
     def backend_flags(p):
-        p.add_argument("--backend", default="fastpath",
-                       choices=("interp", "fastpath", "compiled"),
+        p.add_argument("--backend", default=DEFAULT_BACKEND,
+                       choices=BACKEND_NAMES,
                        help="execution backend (compiled = tiered "
                             "template JIT; see docs/performance.md)")
         p.add_argument("--jit-threshold", type=int, default=8, metavar="N",
@@ -909,8 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault_campaign: disable checkpoint acceleration")
     p.add_argument("--digest-interval", type=int, default=None, metavar="K",
                    help="fault_campaign: golden digest spacing")
-    p.add_argument("--backend", default="fastpath",
-                   choices=("interp", "fastpath", "compiled"),
+    p.add_argument("--backend", default=DEFAULT_BACKEND,
+                   choices=BACKEND_NAMES,
                    help="vp_run/fault_campaign/fuzz: execution backend")
     p.add_argument("--priority", type=int, default=0,
                    help="larger dispatches sooner")

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..asm import Program
 from ..isa.decoder import IsaConfig
 from ..telemetry.session import resolve as _resolve_telemetry
+from ..vp.backends import DEFAULT_BACKEND
 from ..vp.cpu import STOP_EXIT
 from ..vp.machine import Machine, MachineConfig, STOP_UNHANDLED_TRAP
 from .checkpoint import CheckpointEngine
@@ -207,7 +208,7 @@ class FaultCampaign:
         checkpoints: bool = True,
         digest_interval: Optional[int] = None,
         telemetry=None,
-        backend: str = "fastpath",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.program = program
         self.isa = isa or IsaConfig.from_string(program.isa_name)

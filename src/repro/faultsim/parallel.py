@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..asm import Program
+from ..vp.backends import DEFAULT_BACKEND
 
 __all__ = ["CampaignSpec", "run_parallel", "default_chunk_size"]
 
@@ -66,7 +67,7 @@ class CampaignSpec:
     #: Sorted distinct transient triggers — each worker pre-builds its
     #: checkpoint chain for these in one golden sweep at init.
     checkpoint_triggers: Tuple[int, ...] = ()
-    backend: str = "fastpath"
+    backend: str = DEFAULT_BACKEND
 
 
 def _spec_for(campaign, faults: Sequence = ()) -> CampaignSpec:

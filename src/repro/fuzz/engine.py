@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..coverage.report import empty_report
 from ..isa.decoder import Decoder, IsaConfig, RV32IMC_ZICSR
 from ..telemetry.session import resolve as _resolve_telemetry
+from ..vp.backends import DEFAULT_BACKEND
 from .corpus import Corpus, CorpusEntry
 from .executor import (
     EvalResult,
@@ -66,7 +67,7 @@ class FuzzConfig:
     minimize_evals: int = 24        # extra executions per minimization
     lockstep: bool = False          # differential oracle on corpus adds
     time_budget: Optional[float] = None  # wall-clock stop (breaks jobs parity)
-    backend: str = "fastpath"       # execution backend for evaluators
+    backend: str = DEFAULT_BACKEND  # execution backend for evaluators
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +121,7 @@ class FuzzSpec:
 
     isa_name: str
     max_instructions: int
-    backend: str = "fastpath"
+    backend: str = DEFAULT_BACKEND
 
 
 _WORKER_EVALUATOR: Optional[ProgramEvaluator] = None

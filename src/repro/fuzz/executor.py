@@ -23,6 +23,7 @@ from ..coverage.collector import coverage_signature
 from ..coverage.report import empty_report
 from ..isa.decoder import Decoder, IsaConfig
 from ..isa.encoder import encode
+from ..vp.backends import DEFAULT_BACKEND
 from ..vp.cpu import (
     STOP_EXIT,
     STOP_LIVELOCK,
@@ -180,7 +181,7 @@ class ProgramEvaluator:
     """
 
     def __init__(self, isa: IsaConfig, max_instructions: int = 5000,
-                 backend: str = "fastpath") -> None:
+                 backend: str = DEFAULT_BACKEND) -> None:
         self.isa = isa
         self.max_instructions = max_instructions
         self.backend = backend

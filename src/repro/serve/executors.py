@@ -161,9 +161,9 @@ def _int_field(payload: Dict[str, Any], name: str, default: int,
 
 
 def _backend_field(payload: Dict[str, Any]) -> str:
-    from ..vp.backends import BACKEND_NAMES
+    from ..vp.backends import BACKEND_NAMES, DEFAULT_BACKEND
 
-    value = payload.get("backend", "fastpath")
+    value = payload.get("backend", DEFAULT_BACKEND)
     if value not in BACKEND_NAMES:
         raise ExecutorError(
             f"payload field 'backend' must be one of {BACKEND_NAMES}")

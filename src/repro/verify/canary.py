@@ -4,16 +4,17 @@ The bug this injects is exactly the one :mod:`repro.isa.semantics` warns
 about in its docstring: an instruction's ``execute`` function changes
 but its JIT emitter does not.  :func:`perturbed_semantics` patches the
 named instruction's semantics globally (interpreted tiers — the interp
-and fastpath backends, and the compiled backend's cold tier — all run
-the perturbed function) while aliasing the original emitter onto the
-perturbed function, so the compiled backend's *hot* tier keeps emitting
-faithful code.  Any ``interp~compiled`` or ``fastpath~compiled`` pair
-must then report a genuine cross-tier divergence — detected by digest,
-pinpointed by lockstep to the perturbed instruction, and minimized.
+backend and the compiled backend's cold tier — both run the perturbed
+function) while aliasing the original emitter onto the perturbed
+function, so the compiled backend's *hot* tier keeps emitting faithful
+code.  Any ``interp~compiled`` pair must then report a genuine
+cross-tier divergence — detected by digest, pinpointed by lockstep to
+the perturbed instruction, and minimized.
 
-Pairs that never reach the JIT tier (``interp~fastpath``) agree on the
-perturbed semantics and stay silent: the canary specifically exercises
-the tier boundary, which is where this bug class lives.
+Pairs that never reach the JIT tier (``interp~nocache``,
+``interp~icache``) agree on the perturbed semantics and stay silent: the
+canary specifically exercises the tier boundary, which is where this bug
+class lives.
 
 Used by the CI ``verify-smoke`` job and the escalation tests; never
 imported by production campaign code.

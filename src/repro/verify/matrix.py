@@ -10,7 +10,7 @@ cycle instead of straight through.
 
 The ``--matrix`` DSL is a comma-separated list of axes::
 
-    backends     interp ~ fastpath ~ compiled (all three pairings)
+    backends     interp ~ compiled
     cache        translation-block cache on vs off
     icache       instruction-cache model off vs on (timing-variant)
     traces       compiled tier with trace fusion off vs on
@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..vp.backends import DEFAULT_BACKEND
+
 __all__ = [
     "AXES",
     "CONFIGS",
@@ -42,7 +44,7 @@ class VerifyConfig:
     """One named machine configuration in the verification matrix."""
 
     name: str
-    backend: str = "fastpath"
+    backend: str = DEFAULT_BACKEND
     block_cache: bool = True
     icache: bool = False
     jit_threshold: Optional[int] = None
@@ -98,27 +100,24 @@ CONFIGS: Dict[str, VerifyConfig] = {
     config.name: config
     for config in (
         VerifyConfig(name="interp", backend="interp"),
-        VerifyConfig(name="fastpath", backend="fastpath"),
         VerifyConfig(name="compiled", backend="compiled",
                      jit_threshold=1, jit_trace_threshold=1_000_000),
         VerifyConfig(name="compiled+traces", backend="compiled",
                      jit_threshold=1, jit_trace_threshold=1),
-        VerifyConfig(name="nocache", backend="fastpath", block_cache=False),
-        VerifyConfig(name="icache", backend="fastpath", icache=True,
+        VerifyConfig(name="nocache", backend="interp", block_cache=False),
+        VerifyConfig(name="icache", backend="interp", icache=True,
                      timing_variant=True),
-        VerifyConfig(name="ckpt-resume", backend="fastpath",
-                     checkpoint=True),
+        VerifyConfig(name="ckpt-resume", backend="interp", checkpoint=True),
     )
 }
 
 #: Axis name -> the (a, b) config-name pairs it contributes.
 AXES: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "backends": (("interp", "fastpath"), ("interp", "compiled"),
-                 ("fastpath", "compiled")),
-    "cache": (("fastpath", "nocache"),),
-    "icache": (("fastpath", "icache"),),
+    "backends": (("interp", "compiled"),),
+    "cache": (("interp", "nocache"),),
+    "icache": (("interp", "icache"),),
     "traces": (("compiled", "compiled+traces"),),
-    "checkpoint": (("fastpath", "ckpt-resume"),),
+    "checkpoint": (("interp", "ckpt-resume"),),
 }
 
 

@@ -2,20 +2,19 @@
 
 An :class:`ExecutionBackend` owns the run loop — budget accounting,
 livelock detection, WFI fast-forward, :class:`~repro.vp.cpu.StopRun`
-handling — and delegates the per-block step to a tier-specific strategy:
+handling — and steps one translation block at a time.  Two backends:
 
-* ``interp``    — always the general :meth:`~repro.vp.cpu.Cpu.step_block`
-  (instruction hooks honoured unconditionally),
-* ``fastpath``  — the historical default: pick
-  :meth:`~repro.vp.cpu.Cpu._step_block_fast` while no instruction hooks
-  are attached, re-selecting when the hook table version changes,
+* ``interp``    — the default: every block through
+  :meth:`~repro.vp.cpu.Cpu.step_block`, the one interpreted block body,
 * ``compiled``  — the template JIT tier (:mod:`repro.vp.jit`): interpret
   a block until its ``exec_count`` crosses a threshold, then execute a
   specialized compiled function cached on the block.
 
-All three produce bit-identical architectural results; the backend choice
+Both produce bit-identical architectural results; the backend choice
 only moves the speed/observability trade-off.  ``create_backend`` is the
-single factory the machine layer, CLI, and tests go through.
+single factory the machine layer, CLI, and tests go through, and
+:data:`DEFAULT_BACKEND` / :data:`BACKEND_NAMES` are the one source every
+config default and ``--backend`` choice list reads.
 """
 
 from __future__ import annotations
@@ -26,32 +25,32 @@ from ..isa import csr as csrdef
 from .cpu import (LIVELOCK_LIMIT, STOP_LIVELOCK, STOP_MAX_INSNS,
                   STOP_REQUESTED, STOP_WFI, Cpu, RunResult, StopRun)
 
-__all__ = ["ExecutionBackend", "InterpBackend", "FastpathBackend",
-           "create_backend", "BACKEND_NAMES"]
+__all__ = ["ExecutionBackend", "create_backend", "BACKEND_NAMES",
+           "DEFAULT_BACKEND"]
 
 
 class ExecutionBackend:
-    """Base class: the shared run loop over an abstract per-block step.
+    """The ``interp`` backend, and the run loop every backend shares.
 
-    Subclasses implement :meth:`_refresh` (called at run start and
-    whenever the hook table version changes mid-run) to pick their step
-    strategy, and :meth:`_step` to execute one translation block (or take
-    one interrupt/trap), returning the number of instructions retired.
+    :meth:`_step` executes one translation block (or takes one
+    interrupt/trap) and returns the number of instructions retired;
+    :meth:`_refresh` runs at run start and whenever the hook table
+    version changes mid-run.  The compiled tier overrides both.
     ``remaining`` is the outstanding instruction budget — the compiled
-    tier's fused loops use it to stay within one block of the budget,
-    matching the interpreter's block-boundary overshoot contract.
+    tier's loops use it to stay within one block of the budget, matching
+    the interpreter's block-boundary overshoot contract.
     """
 
-    name = "base"
+    name = "interp"
 
     def __init__(self, cpu: Cpu) -> None:
         self.cpu = cpu
 
     def _refresh(self) -> None:
-        raise NotImplementedError
+        pass
 
     def _step(self, remaining) -> int:
-        raise NotImplementedError
+        return self.cpu.step_block()
 
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         cpu = self.cpu
@@ -89,37 +88,13 @@ class ExecutionBackend:
                         cpu.csrs.cycle += skip
                         cpu.bus.tick(skip)
         except StopRun:
-            # The hook stopped mid-block; step_block's finally already
+            # The hook stopped mid-block; _execute_block's finally already
             # flushed the partial block's accounting to the CSRs, so the
             # retired count is the instret delta rather than `executed`.
             return RunResult(STOP_REQUESTED,
                              cpu.csrs.instret - start_instret,
                              cpu.csrs.cycle)
         return RunResult(STOP_MAX_INSNS, executed, cpu.csrs.cycle)
-
-
-class InterpBackend(ExecutionBackend):
-    """Always the general interpreter step, hooks checked every block."""
-
-    name = "interp"
-
-    def _refresh(self) -> None:
-        self._block_step = self.cpu.step_block
-
-    def _step(self, remaining) -> int:
-        return self._block_step()
-
-
-class FastpathBackend(ExecutionBackend):
-    """The historical default: hook-aware step selection per run."""
-
-    name = "fastpath"
-
-    def _refresh(self) -> None:
-        self._block_step = self.cpu._select_step()
-
-    def _step(self, remaining) -> int:
-        return self._block_step()
 
 
 def _make_compiled(cpu: Cpu, **options) -> ExecutionBackend:
@@ -129,21 +104,23 @@ def _make_compiled(cpu: Cpu, **options) -> ExecutionBackend:
 
 
 _FACTORIES = {
-    "interp": lambda cpu, **options: InterpBackend(cpu),
-    "fastpath": lambda cpu, **options: FastpathBackend(cpu),
+    "interp": lambda cpu, **options: ExecutionBackend(cpu),
     "compiled": _make_compiled,
 }
 
 #: The accepted ``--backend`` choices, in documentation order.
-BACKEND_NAMES = ("interp", "fastpath", "compiled")
+BACKEND_NAMES = ("interp", "compiled")
+
+#: The backend every config, job payload and CLI run uses by default.
+DEFAULT_BACKEND = "interp"
 
 
 def create_backend(name: str, cpu: Cpu, **options) -> ExecutionBackend:
     """Instantiate the named backend for ``cpu``.
 
     ``options`` are backend-specific (the compiled tier takes
-    ``threshold=`` and ``trace_threshold=``); the interpreter backends
-    accept and ignore them so one config surface can drive any backend.
+    ``threshold=`` and ``trace_threshold=``); the interpreter accepts
+    and ignores them so one config surface can drive any backend.
     """
     try:
         factory = _FACTORIES[name]

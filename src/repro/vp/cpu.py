@@ -2,9 +2,9 @@
 
 Execution proceeds block-wise: straight-line instruction sequences are
 decoded once into a :class:`TranslationBlock`, cached by start address, and
-replayed on subsequent visits — the structure (translate, cache, execute,
-chain) that makes QEMU fast, reproduced here because the Scale4Edge tools
-(QTA, coverage, fault analysis) hook exactly this structure.
+replayed on subsequent visits — the structure (translate, cache, execute)
+that makes QEMU fast, reproduced here because the Scale4Edge tools (QTA,
+coverage, fault analysis) hook exactly this structure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ LIVELOCK_LIMIT = 64
 
 
 #: Unconditional pc-relative jumps whose target is a translate-time
-#: constant — the only redirecting instructions a block can chain through.
+#: constant — the only redirecting instructions with a static successor.
 _DIRECT_JUMPS = frozenset({"jal", "c.jal", "c.j"})
 
 
@@ -65,12 +65,12 @@ class TranslationBlock:
 
     :meth:`finalize` precomputes the per-instruction execution data the hot
     loop needs (``ops``), the instruction-cache lines the block spans, and
-    the statically known successor address (``chain_pc``) used for direct
-    block chaining.
+    the statically known successor address (``chain_pc``) that the
+    compiled tier's trace formation walks.
     """
 
     __slots__ = ("start_pc", "insns", "pcs", "size", "exec_count",
-                 "ops", "next", "chain_pc", "icache_lines",
+                 "ops", "chain_pc", "icache_lines",
                  "compiled", "compiled_version",
                  "trace", "trace_token", "trace_heat", "trace_member")
 
@@ -85,8 +85,6 @@ class TranslationBlock:
         #: calling back into the timing model, chasing ``decoded.spec``
         #: attributes, or recomputing ``pc + length``.
         self.ops: List[tuple] = []
-        #: Chained successor block (same-cache only), or ``None``.
-        self.next: Optional["TranslationBlock"] = None
         #: Statically known successor pc: the fallthrough address for blocks
         #: that end without control flow, the jump target for blocks ending
         #: in a direct jump, ``None`` for branches/system/indirect ends.
@@ -99,6 +97,9 @@ class TranslationBlock:
         #: The :class:`~repro.vp.jit.backend.CompiledBackend` specialization
         #: token ``compiled`` was generated for; a mismatch forces a
         #: recompile (hook table changed, register file swapped, ...).
+        #: A matching token with ``compiled`` still ``None`` marks a
+        #: codegen failure: the block stays interpreted until the token
+        #: changes or a flush drops the block.
         self.compiled_version: Optional[tuple] = None
         #: Compiled multi-block trace headed at this block (the superblock
         #: tier above ``compiled``), or ``None``.  Lives on the head block
@@ -106,7 +107,8 @@ class TranslationBlock:
         #: never outlive their members.
         self.trace: Optional[Callable] = None
         #: Specialization token ``trace`` was generated for (see
-        #: ``compiled_version``).
+        #: ``compiled_version``); with ``trace`` still ``None`` it marks a
+        #: failed trace walk from this head.
         self.trace_token: Optional[tuple] = None
         #: Hot-chain-edge counter: executions of this block while already
         #: compiled and chain-headed.  Crossing the trace threshold
@@ -210,9 +212,6 @@ class Cpu:
         self.max_blocks = max_blocks
         self._fetch_align_mask = 1 if decoder.config.has_compressed else 3
         self._tb_cache: Dict[int, TranslationBlock] = {}
-        #: Block that just completed with a statically known successor —
-        #: the chain source for the next step's block lookup.
-        self._chain_from: Optional[TranslationBlock] = None
         self._current: Optional[Decoded] = None
         # Softmmu-style RAM fast-path window: direct references to the
         # first plain Ram region's buffer and dirty set, validated against
@@ -241,8 +240,8 @@ class Cpu:
         self.tb_misses = 0
         self.tb_flushes = 0
         #: The :class:`~repro.vp.backends.ExecutionBackend` driving
-        #: :meth:`run`.  ``None`` lazily becomes the default ``fastpath``
-        #: backend (the historical behaviour) on the first run.
+        #: :meth:`run`.  ``None`` lazily becomes the default backend
+        #: (:data:`~repro.vp.backends.DEFAULT_BACKEND`) on the first run.
         self.backend = None
 
     # ------------------------------------------------------------------
@@ -276,7 +275,6 @@ class Cpu:
     def flush_translation_cache(self) -> None:
         """Invalidate all cached blocks (``fence.i``, code patching)."""
         self._tb_cache.clear()
-        self._chain_from = None
         self.tb_flushes += 1
         if self.hooks.tb_flush:
             for hook in self.hooks.tb_flush:
@@ -440,43 +438,20 @@ class Cpu:
                 hook(self, block)
         return block
 
-    def _get_block(self, pc: int) -> TranslationBlock:
+    def _translate(self, pc: int) -> TranslationBlock:
+        """A ``_tb_cache`` miss: build the block at ``pc`` and cache it
+        (only aligned pcs are ever cached, so a misaligned pc lands
+        here and traps)."""
         if pc & self._fetch_align_mask:
             raise Trap(csrdef.CAUSE_MISALIGNED_FETCH, pc)
         if not self.block_cache_enabled:
             self.tb_misses += 1
             return self._build_block(pc)
-        block = self._tb_cache.get(pc)
-        if block is None:
-            if (self.max_blocks is not None
-                    and len(self._tb_cache) >= self.max_blocks):
-                self.flush_translation_cache()
-            self.tb_misses += 1
-            block = self._build_block(pc)
-            self._tb_cache[pc] = block
-        else:
-            self.tb_hits += 1
-        return block
-
-    def _next_block(self) -> TranslationBlock:
-        """The block at ``self.pc``, taking the chain link when valid.
-
-        A chained transition (the previous block's statically known
-        successor) skips the ``_tb_cache`` dict lookup entirely; it still
-        counts as a ``tb_hits`` event so cache statistics stay meaningful.
-        """
-        pc = self.pc
-        prev = self._chain_from
-        self._chain_from = None
-        if prev is not None:
-            nxt = prev.next
-            if nxt is not None and nxt.start_pc == pc:
-                self.tb_hits += 1
-                return nxt
-        block = self._get_block(pc)
-        if (prev is not None and prev.chain_pc == pc
-                and self.block_cache_enabled):
-            prev.next = block
+        if (self.max_blocks is not None
+                and len(self._tb_cache) >= self.max_blocks):
+            self.flush_translation_cache()
+        self.tb_misses += 1
+        block = self._tb_cache[pc] = self._build_block(pc)
         return block
 
     # ------------------------------------------------------------------
@@ -530,20 +505,37 @@ class Cpu:
     def step_block(self) -> int:
         """Run one translation block (or take one interrupt/trap).
 
-        Returns the number of instructions retired.  This is the general
-        path (instruction hooks honoured); :meth:`run` switches to
-        :meth:`_step_block_fast` while no instruction hooks are attached.
+        Returns the number of instructions retired.  The two halves,
+        :meth:`_fetch_block` and :meth:`_execute_block`, are also called
+        separately by the compiled backend, which runs a block's JIT code
+        in place of the interpreted body once the block is hot.
+        """
+        block = self._fetch_block()
+        return 0 if block is None else self._execute_block(block)
+
+    def _fetch_block(self) -> Optional[TranslationBlock]:
+        """Poll interrupts and fetch the block at ``pc``.
+
+        Returns ``None`` when an interrupt or a fetch trap was taken
+        instead (the step retires nothing).
         """
         interrupt = self._pending_interrupt()
         if interrupt is not None:
             self._wfi_pending = False
             self._take_trap(interrupt, 0)
-            return 0
+            return None
+        block = self._tb_cache.get(self.pc)
+        if block is not None:
+            self.tb_hits += 1
+            return block
         try:
-            block = self._next_block()
+            return self._translate(self.pc)
         except Trap as trap:
             self._take_trap(trap.cause, trap.tval)
-            return 0
+            return None
+
+    def _execute_block(self, block: TranslationBlock) -> int:
+        """Interpret ``block`` once; returns the instructions retired."""
         block.exec_count += 1
         if self.hooks.block_exec:
             for hook in self.hooks.block_exec:
@@ -584,87 +576,21 @@ class Cpu:
         finally:
             # Flush accounting even when MachineExit/UnhandledTrap unwinds
             # mid-block, so RunResult counters stay exact.
-            self.csrs.instret += retired
-            self.csrs.cycle += cycles
-            self.bus.tick(cycles)
-        if pending_trap is not None:
-            self._take_trap(pending_trap.cause, pending_trap.tval)
-        elif self.block_cache_enabled and block.chain_pc == self.pc:
-            self._chain_from = block
-        return retired
-
-    def _step_block_fast(self) -> int:
-        """:meth:`step_block` specialized for the no-instruction-hook case.
-
-        Identical architectural behaviour; the per-instruction hook test
-        and list iteration are gone, which is where an interpreted VP
-        spends its inner loop (GVSoC's lesson).  Selected once per
-        :meth:`run` and re-selected when the hook table changes.
-        """
-        interrupt = self._pending_interrupt()
-        if interrupt is not None:
-            self._wfi_pending = False
-            self._take_trap(interrupt, 0)
-            return 0
-        try:
-            block = self._next_block()
-        except Trap as trap:
-            self._take_trap(trap.cause, trap.tval)
-            return 0
-        block.exec_count += 1
-        if self.hooks.block_exec:
-            for hook in self.hooks.block_exec:
-                hook(self, block)
-        retired = 0
-        cycles = 0
-        icache = self.icache
-        if icache is not None:
-            cycles += icache.penalty_for_lines(block.icache_lines)
-        pending_trap: Optional[Trap] = None
-        try:
-            for decoded, execute, pc, fallthrough, base_cost, taken_cost \
-                    in block.ops:
-                self.pc = pc
-                self._current = decoded
-                self.next_pc = fallthrough
-                try:
-                    execute(self, decoded)
-                except Trap as trap:
-                    cycles += base_cost
-                    pending_trap = trap
-                    break
-                except MachineExit:
-                    cycles += base_cost
-                    raise
-                retired += 1
-                next_pc = self.next_pc
-                self.pc = next_pc
-                if next_pc != fallthrough:
-                    cycles += taken_cost
-                    break
-                cycles += base_cost
-        finally:
             csrs = self.csrs
             csrs.instret += retired
             csrs.cycle += cycles
             self.bus.tick(cycles)
         if pending_trap is not None:
             self._take_trap(pending_trap.cause, pending_trap.tval)
-        elif self.block_cache_enabled and block.chain_pc == self.pc:
-            self._chain_from = block
         return retired
-
-    def _select_step(self):
-        """Pick the per-block step variant for the current hook table."""
-        return self.step_block if self.hooks.insn_exec else self._step_block_fast
 
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         """Execute until WFI-with-no-event or the instruction budget ends.
 
         The run loop itself lives in the active
-        :class:`~repro.vp.backends.ExecutionBackend` (``interp``,
-        ``fastpath``, or the JIT's ``compiled`` tier); without an explicit
-        backend the historical ``fastpath`` behaviour is used.
+        :class:`~repro.vp.backends.ExecutionBackend` (``interp`` or the
+        JIT's ``compiled`` tier); without an explicit backend the default
+        ``interp`` is used.
 
         :class:`~repro.vp.trap.MachineExit` and
         :class:`~repro.vp.trap.UnhandledTrap` propagate to the caller
@@ -672,7 +598,7 @@ class Cpu:
         """
         backend = self.backend
         if backend is None:
-            from .backends import create_backend
+            from .backends import DEFAULT_BACKEND, create_backend
 
-            backend = self.backend = create_backend("fastpath", self)
+            backend = self.backend = create_backend(DEFAULT_BACKEND, self)
         return backend.run(max_instructions)

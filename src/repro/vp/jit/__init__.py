@@ -14,9 +14,10 @@ Layout:
   instructions reuse the base execute callbacks, so RVC is covered for
   free),
 * :mod:`~repro.vp.jit.compiler`  — assembles whole-block functions in
-  three shapes: a direct-register fast shape, a bookkeeping shape that
-  preserves per-instruction hook ordering, and a fused self-loop
-  superblock for single-block spin loops,
+  three shapes: *direct* (raw-register straight-line code), *loop*
+  (multi-block traces, and single-block self-loops compiled as
+  one-member traces), and *method* (a bookkeeping shape that preserves
+  per-instruction hook ordering),
 * :mod:`~repro.vp.jit.backend`   — the ``compiled``
   :class:`~repro.vp.backends.ExecutionBackend` with hot-block tiering.
 

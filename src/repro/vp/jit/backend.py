@@ -4,14 +4,13 @@ Blocks start life interpreted; once a block's ``exec_count`` crosses the
 tier threshold it is compiled by :class:`~repro.vp.jit.compiler.BlockCompiler`
 and the compiled function is cached on the block together with the
 specialization token it was generated for.  The token captures
-everything the generated code folded in — the hook-table version, the
-register-file shape, and whether block chaining is live — so any change
-recompiles instead of executing stale assumptions.
+everything the generated code folded in — the hook-table version and the
+register-file shape — so any change recompiles instead of executing
+stale assumptions.
 
 Above the compiled tier sits **trace compilation**: a compiled block
 that keeps re-executing with a statically known successor (a hot chain
-edge, the same ``chain_pc`` mechanism block chaining uses) becomes the
-head of a multi-block trace.  The backend walks the chain through the
+edge: the block's ``chain_pc``) becomes the head of a multi-block trace.  The backend walks the chain through the
 TB cache, collects up to :data:`~repro.vp.jit.compiler.TRACE_MAX_BLOCKS`
 template-covered members, and asks the compiler for one specialized
 function with interior side exits.  Traces live on their head block and
@@ -22,7 +21,8 @@ code can never run.
 Fallback rules (documented in ``docs/performance.md``): an instruction
 cache or a disabled translation-block cache turns compilation off
 entirely and every block stays interpreted; a codegen failure blacklists
-just that block (or trace head).  The tier split is observable through
+just that block (or trace head) by tagging it with the token it failed
+under, so a TB flush or a token change lifts the mark with the block.  The tier split is observable through
 :class:`JitStats` (``repro profile``'s tier report and the
 ``emulator_compiled`` bench section read it).
 """
@@ -31,12 +31,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ...isa import semantics as sem
 from ...isa.registers import RegisterFile
 from ..backends import ExecutionBackend
-from ..trap import MachineExit, Trap
-from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError)
-from .templates import BRANCH_CONDS, EMITTERS
+from .compiler import (TRACE_MAX_BLOCKS, BlockCompiler, CompileError,
+                       _interior_ok, _terminal_ok)
 
 __all__ = ["CompiledBackend", "JitStats", "DEFAULT_THRESHOLD",
            "DEFAULT_TRACE_THRESHOLD"]
@@ -84,26 +82,6 @@ class JitStats:
         return f"JitStats({self.as_dict()})"
 
 
-def _interior_ok(block) -> bool:
-    """Whether ``block`` can sit in a trace with a successor after it:
-    every body instruction is template-covered and the block ends in a
-    pure fallthrough or a direct jal (whose link write the trace emits
-    at the member boundary)."""
-    ops = block.ops
-    if block.chain_pc is None:
-        return False
-    if ops[-1][1] is sem.exec_jal:
-        return all(op[1] in EMITTERS for op in ops[:-1])
-    return all(op[1] in EMITTERS for op in ops)
-
-
-def _terminal_ok(block) -> bool:
-    """Whether ``block`` can terminate a trace with a conditional branch."""
-    ops = block.ops
-    return (ops[-1][1] in BRANCH_CONDS
-            and all(op[1] in EMITTERS for op in ops[:-1]))
-
-
 class CompiledBackend(ExecutionBackend):
     """Tiered execution: interpret cold blocks, JIT-compile hot ones,
     fuse hot chains into traces."""
@@ -125,8 +103,6 @@ class CompiledBackend(ExecutionBackend):
         self._compiler: Optional[BlockCompiler] = None
         self._compile_ok = False
         self._trace_ok = False
-        self._no_compile: set = set()
-        self._no_trace: set = set()
 
     # ------------------------------------------------------------------
 
@@ -139,14 +115,10 @@ class CompiledBackend(ExecutionBackend):
         # not model, and a disabled block cache never re-executes the
         # same TranslationBlock object — both force the interp tier.
         self._compile_ok = cpu.icache is None and cpu.block_cache_enabled
-        token = (cpu.hooks.version, direct_ok, cpu.block_cache_enabled)
+        token = (cpu.hooks.version, direct_ok)
         if token != self._token:
             self._token = token
-            self._compiler = BlockCompiler(
-                cpu, chain_enabled=cpu.block_cache_enabled,
-                direct_ok=direct_ok)
-            self._no_compile.clear()
-            self._no_trace.clear()
+            self._compiler = BlockCompiler(cpu, direct_ok=direct_ok)
         # Traces are direct-shape only (no hooks of any kind: interior
         # side exits cannot replay per-block hook ordering).
         self._trace_ok = (self._compile_ok and self._compiler.direct
@@ -154,59 +126,50 @@ class CompiledBackend(ExecutionBackend):
 
     def _step(self, remaining) -> int:
         cpu = self.cpu
-        interrupt = cpu._pending_interrupt()
-        if interrupt is not None:
-            cpu._wfi_pending = False
-            cpu._take_trap(interrupt, 0)
+        block = cpu._fetch_block()
+        if block is None:
             return 0
-        try:
-            block = cpu._next_block()
-        except Trap as trap:
-            cpu._take_trap(trap.cause, trap.tval)
-            return 0
-        fn = block.compiled
-        if fn is not None and block.compiled_version == self._token:
-            trace = block.trace
-            if trace is not None:
-                if block.trace_token == self._token:
-                    retired = trace(cpu, remaining)
-                    self.stats.trace_retired += retired
-                    return retired
-                block.trace = None  # stale specialization; allow rebuild
-            elif (self._trace_ok and block.chain_pc is not None
-                    and block.start_pc not in self._no_trace):
-                block.trace_heat += 1
-                if block.trace_heat >= self.trace_threshold:
-                    trace = self._compile_trace(block)
+        token = self._token
+        if block.compiled_version == token:
+            fn = block.compiled
+            if fn is not None:  # None: codegen failed for this token
+                if block.trace_token == token:
+                    trace = block.trace
                     if trace is not None:
                         retired = trace(cpu, remaining)
                         self.stats.trace_retired += retired
                         return retired
-            retired = fn(cpu, remaining)
-            self.stats.compiled_retired += retired
-            return retired
-        if (self._compile_ok and block.exec_count + 1 >= self.threshold
-                and block.start_pc not in self._no_compile):
+                elif self._trace_ok and block.chain_pc is not None:
+                    block.trace_heat += 1
+                    if block.trace_heat >= self.trace_threshold:
+                        trace = self._compile_trace(block)
+                        if trace is not None:
+                            retired = trace(cpu, remaining)
+                            self.stats.trace_retired += retired
+                            return retired
+                retired = fn(cpu, remaining)
+                self.stats.compiled_retired += retired
+                return retired
+        elif self._compile_ok and block.exec_count + 1 >= self.threshold:
             fn = self._compile(block)
             if fn is not None:
                 retired = fn(cpu, remaining)
                 self.stats.compiled_retired += retired
                 return retired
-        retired = self._interpret(block)
+        retired = cpu._execute_block(block)
         self.stats.interp_retired += retired
         return retired
 
     def _compile(self, block):
-        try:
-            fn = self._compiler.compile(block)
-        except (CompileError, SyntaxError, ValueError):
-            self.stats.compile_failures += 1
-            self._no_compile.add(block.start_pc)
-            return None
-        block.compiled = fn
         block.compiled_version = self._token
+        try:
+            block.compiled = self._compiler.compile(block)
+        except (CompileError, SyntaxError, ValueError):
+            block.compiled = None
+            self.stats.compile_failures += 1
+            return None
         self.stats.blocks_compiled += 1
-        return fn
+        return block.compiled
 
     # -- trace formation -----------------------------------------------
 
@@ -253,7 +216,8 @@ class CompiledBackend(ExecutionBackend):
             fn = self._compiler.compile_trace(members)
         except (CompileError, SyntaxError, ValueError):
             self.stats.trace_failures += 1
-            self._no_trace.add(head.start_pc)
+            head.trace = None
+            head.trace_token = self._token
             return None
         head.trace = fn
         head.trace_token = self._token
@@ -261,61 +225,3 @@ class CompiledBackend(ExecutionBackend):
             member.trace_member = True
         self.stats.traces_compiled += 1
         return fn
-
-    # ------------------------------------------------------------------
-
-    def _interpret(self, block) -> int:
-        """One interpreted block execution — the warm-up tier.
-
-        A verbatim mirror of :meth:`repro.vp.cpu.Cpu.step_block` after
-        the interrupt poll and block fetch (which :meth:`_step` already
-        performed); kept in lockstep with cpu.py by the backend parity
-        suite.
-        """
-        cpu = self.cpu
-        block.exec_count += 1
-        hooks = cpu.hooks
-        if hooks.block_exec:
-            for hook in hooks.block_exec:
-                hook(cpu, block)
-        insn_hooks = hooks.insn_exec
-        retired = 0
-        cycles = 0
-        if cpu.icache is not None:
-            cycles += cpu.icache.penalty_for_lines(block.icache_lines)
-        pending_trap: Optional[Trap] = None
-        try:
-            for decoded, execute, pc, fallthrough, base_cost, taken_cost \
-                    in block.ops:
-                cpu.pc = pc
-                cpu._current = decoded
-                cpu.next_pc = fallthrough
-                if insn_hooks:
-                    for hook in insn_hooks:
-                        hook(cpu, decoded, pc)
-                try:
-                    execute(cpu, decoded)
-                except Trap as trap:
-                    cycles += base_cost
-                    pending_trap = trap
-                    break
-                except MachineExit:
-                    cycles += base_cost
-                    raise
-                retired += 1
-                next_pc = cpu.next_pc
-                cpu.pc = next_pc
-                if next_pc != fallthrough:
-                    cycles += taken_cost
-                    break
-                cycles += base_cost
-        finally:
-            csrs = cpu.csrs
-            csrs.instret += retired
-            csrs.cycle += cycles
-            cpu.bus.tick(cycles)
-        if pending_trap is not None:
-            cpu._take_trap(pending_trap.cause, pending_trap.tval)
-        elif cpu.block_cache_enabled and block.chain_pc == cpu.pc:
-            cpu._chain_from = block
-        return retired

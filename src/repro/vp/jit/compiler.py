@@ -3,17 +3,20 @@
 :class:`BlockCompiler` turns a finalized
 :class:`~repro.vp.cpu.TranslationBlock` into one specialized Python
 function ``_tb(cpu, remaining) -> retired`` compiled with
-:func:`compile`/``exec``.  Three shapes, picked per block:
+:func:`compile`/``exec``.  Three shapes:
 
 * **direct**  — no instruction/memory hooks and a plain untraced
   register file: registers are raw-list accesses, per-instruction
   pc/next_pc bookkeeping disappears, retired/cycle accounting is
   constant-folded into each exit path.
-* **fused**   — a direct-shape block whose final instruction is a
-  conditional branch back to its own start (a single-block spin loop):
-  the whole block becomes a native ``while`` loop that re-checks the
-  instruction budget and pending interrupts between iterations, exactly
-  where the interpreter's run loop would.
+* **loop**    — direct-mode code for a chain of member blocks: a
+  multi-block trace (:meth:`BlockCompiler.compile_trace`) or a
+  single-block self-loop compiled as a one-member trace.  A final
+  branch back to the head becomes a native ``while`` loop that
+  re-checks the instruction budget and pending interrupts at every
+  member boundary, exactly where the interpreter's run loop would; a
+  pure-ALU self-loop batches iterations up to the timer horizon
+  instead.
 * **method**  — instruction or memory hooks attached, or a traced /
   fault-wrapped register file: an unrolled interpreter preserving the
   per-instruction hook ordering, pc/next_pc visibility, and redirect
@@ -21,13 +24,12 @@ function ``_tb(cpu, remaining) -> retired`` compiled with
 
 Every exit path replicates the interpreter's accounting contract: CSR
 ``instret``/``cycle`` updated and the bus ticked before any trap is
-taken or ``MachineExit`` unwinds, pc parked on the faulting instruction,
-chain links only planted on statically known successor exits.
+taken or ``MachineExit`` unwinds, pc parked on the faulting instruction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...isa import semantics as sem
 from ..devices.clint import Clint
@@ -41,7 +43,7 @@ __all__ = ["BlockCompiler", "CompileError", "TRACE_MAX_BLOCKS"]
 #: and invalidation blast radius bounded).
 TRACE_MAX_BLOCKS = 8
 
-#: Interrupt-check constants folded into fused-loop source.
+#: Interrupt-check constants folded into loop-shape source.
 _MIP, _MSTATUS, _MIE, _MSTATUS_MIE = 0x344, 0x300, 0x304, 0x8
 
 
@@ -80,7 +82,7 @@ def _exit_flush(cpu, retired, cycles, tick_cycles, pc, fallthrough, decoded):
 
 
 def _batch_safe(cpu) -> bool:
-    """Whether bus ticks may be coalesced across fused-loop iterations.
+    """Whether bus ticks may be coalesced across self-loop iterations.
 
     CLINT time is a plain cycle sum, so ``tick(n * c)`` equals ``n``
     calls of ``tick(c)``; any other tickable device might observe the
@@ -93,7 +95,7 @@ def _batch_safe(cpu) -> bool:
 
 
 def _horizon(cpu, budget_left, insns, taken, timer_live):
-    """Iterations a pure fused loop may run between interrupt polls.
+    """Iterations a pure self-loop may run between interrupt polls.
 
     Inside a pure (no memory access, no CSR access, no hooks) self-loop
     every interrupt source except the machine timer is frozen — stores
@@ -115,6 +117,26 @@ def _horizon(cpu, budget_left, insns, taken, timer_live):
             if limit < n:
                 n = limit
     return n if n > 0 else 1
+
+
+def _interior_ok(block) -> bool:
+    """Whether ``block`` can sit in a trace with a successor after it:
+    every body instruction is template-covered and the block ends in a
+    pure fallthrough or a direct jal (whose link write the trace emits
+    at the member boundary)."""
+    ops = block.ops
+    if block.chain_pc is None:
+        return False
+    if ops[-1][1] is sem.exec_jal:
+        return all(op[1] in EMITTERS for op in ops[:-1])
+    return all(op[1] in EMITTERS for op in ops)
+
+
+def _terminal_ok(block) -> bool:
+    """Whether ``block`` can terminate a trace with a conditional branch."""
+    ops = block.ops
+    return (ops[-1][1] in BRANCH_CONDS
+            and all(op[1] in EMITTERS for op in ops[:-1]))
 
 
 class _Src:
@@ -140,7 +162,7 @@ class BlockCompiler:
     register-file shape; the backend rebuilds it whenever either
     changes (keyed by the specialization token)."""
 
-    def __init__(self, cpu, chain_enabled: bool, direct_ok: bool) -> None:
+    def __init__(self, cpu, direct_ok: bool) -> None:
         self.cpu = cpu
         hooks = cpu.hooks
         self.hb = tuple(hooks.block_exec)
@@ -149,7 +171,6 @@ class BlockCompiler:
         #: Direct raw-register shape is only sound when nothing needs to
         #: observe individual accesses or instruction boundaries.
         self.direct = direct_ok and not self.hi and not self.hm
-        self.chain_enabled = chain_enabled
         # Capture the CPU's RAM fast-path window so direct-mode memory
         # templates can fold the bounds in as constants.  Generated code
         # re-validates at entry (``_ramok`` binding): the captured buffer
@@ -171,21 +192,38 @@ class BlockCompiler:
         """Return the compiled step function for ``block``."""
         if not block.ops:
             raise CompileError("empty block")
-        if self.direct and self._fusable(block):
-            src = self._emit_fused(block)
-        elif self.direct:
-            src = self._emit_direct(block)
-        else:
+        if not self.direct:
             src = self._emit_method(block)
-        namespace = self._namespace(block)
-        code = compile(src, f"<jit:{block.start_pc:#x}>", "exec")
-        exec(code, namespace)
-        fn = namespace["_tb"]
-        fn.__jit_source__ = src  # debugging / test introspection
-        return fn
+        elif self._loops_to_self(block):
+            src = self._emit_loop([block])
+        else:
+            src = self._emit_direct(block)
+        return self._build(src, f"<jit:{block.start_pc:#x}>", [block])
 
-    def _base_namespace(self) -> dict:
-        return {
+    def compile_trace(self, blocks):
+        """Compile a chain of blocks into one specialized trace function.
+
+        ``blocks`` is the member list from the backend's hot-chain walk:
+        every member but the last ends in a pure fallthrough or a direct
+        jal (its link write is emitted at the member boundary); the last
+        member either ends in a conditional branch — rendered as a
+        native loop when it targets the head (the common hot-loop form)
+        or as a pair of exits otherwise — or is itself interior-shaped
+        with a ``chain_pc`` leaving the trace.
+        """
+        if not self.direct or self.hb:
+            raise CompileError(
+                "trace shape requires direct mode without block hooks")
+        if len(blocks) < 2 or len(blocks) > TRACE_MAX_BLOCKS:
+            raise CompileError(f"unsupported trace length {len(blocks)}")
+        return self._build(self._emit_loop(blocks),
+                           f"<jit-trace:{blocks[0].start_pc:#x}>", blocks)
+
+    def _build(self, src: str, filename: str, blocks):
+        """``exec`` ``src`` in a namespace binding member ``m`` as
+        ``b_{m}`` and instruction ``k`` (numbered across members) as
+        ``d_{k}``/``x_{k}``; returns the ``_tb`` function it defines."""
+        namespace = {
             "Trap": Trap, "MachineExit": MachineExit,
             "BusError": BusError, "_trap_exit": _trap_exit,
             "_exit_flush": _exit_flush, "_batch_safe": _batch_safe,
@@ -195,33 +233,32 @@ class BlockCompiler:
             "_MEM": self.mem, "_DIRTY": self.dirty,
             "__builtins__": {"abs": abs},
         }
+        offset = 0
+        for m, block in enumerate(blocks):
+            namespace[f"b_{m}"] = block
+            for i, op in enumerate(block.ops):
+                namespace[f"d_{offset + i}"] = op[0]
+                namespace[f"x_{offset + i}"] = op[1]
+            offset += len(block.ops)
+        exec(compile(src, filename, "exec"), namespace)
+        fn = namespace["_tb"]
+        fn.__jit_source__ = src  # debugging / test introspection
+        return fn
 
-    def _namespace(self, block) -> dict:
-        namespace = self._base_namespace()
-        namespace["block"] = block
-        for i, op in enumerate(block.ops):
-            namespace[f"d_{i}"] = op[0]
-            namespace[f"x_{i}"] = op[1]
-        return namespace
-
-    def _fusable(self, block) -> bool:
+    def _loops_to_self(self, block) -> bool:
+        """A trace-terminal block branching to its own start: compiled
+        as a one-member loop."""
         if self.hb:  # block hooks must fire per run-loop visible step
             return False
-        ops = block.ops
-        execute = ops[-1][1]
-        if execute not in BRANCH_CONDS:
-            return False
-        d = ops[-1][0]
-        if (ops[-1][2] + d.imm) & MASK != block.start_pc:
-            return False
-        return all(op[1] in EMITTERS for op in ops[:-1])
+        last = block.ops[-1]
+        return (_terminal_ok(block)
+                and (last[2] + last[0].imm) & MASK == block.start_pc)
 
     # -- shared rendering ----------------------------------------------
 
-    @staticmethod
-    def _bindings(body_text: str, direct: bool) -> List[str]:
+    def _bindings(self, body_text: str) -> List[str]:
         lines = []
-        if direct:
+        if self.direct:
             lines.append("R = cpu.regs._regs")
             if "bload(" in body_text:
                 lines.append("bload = cpu.bus.load")
@@ -253,19 +290,22 @@ class BlockCompiler:
                 f"cpu.pc = {pc_expr}",
                 f"cpu.next_pc = {pc_expr}"]
 
-    def _chain_line(self, block, pc_expr) -> List[str]:
-        """Plant the chain link when this exit lands on ``chain_pc``."""
-        if not self.chain_enabled or block.chain_pc is None:
-            return []
-        if pc_expr == f"{block.chain_pc:#x}":
-            return ["cpu._chain_from = block"]
-        return [f"if {pc_expr} == {block.chain_pc:#x}:",
-                "    cpu._chain_from = block"]
+    def _prologue(self, body_text: str) -> _Src:
+        """Entry of a direct- or method-shape function: count the
+        execution, fire the block hooks, bind what the body uses."""
+        src = _Src()
+        src.add(0, "def _tb(cpu, remaining):")
+        src.add(1, "b_0.exec_count += 1")
+        if self.hb:
+            src.add(1, "for _h in HB:")
+            src.add(2, "_h(cpu, b_0)")
+        src.extend(1, self._bindings(body_text))
+        return src
 
     # -- direct shape ---------------------------------------------------
 
     def _emit_direct_insn(self, src: _Src, ctx: Ctx, i: int,
-                          indent: int, block) -> None:
+                          indent: int) -> None:
         """One body instruction: a template expansion or the generic
         execute-function fallback with its redirect check."""
         execute = ctx.ops[i][1]
@@ -290,7 +330,6 @@ class BlockCompiler:
         # cpu.next_pc already holds _np; only pc needs the redirect.
         src.extend(indent + 1,
                    self._flush_lines(i + 1, redirect_cycles, "_np")[:-1])
-        src.extend(indent + 1, self._chain_line(block, "_np"))
         src.add(indent + 1, f"return {i + 1}")
 
     def _emit_direct(self, block) -> str:
@@ -306,7 +345,7 @@ class BlockCompiler:
         body = _Src()
         body_end = n - 1 if control_final else n
         for i in range(body_end):
-            self._emit_direct_insn(body, ctx, i, 1, block)
+            self._emit_direct_insn(body, ctx, i, 1)
 
         base_total = ctx.prefix[n - 1] + last_base
         taken_total = ctx.prefix[n - 1] + last_taken
@@ -317,14 +356,11 @@ class BlockCompiler:
             body.extend(2, self._flush_lines(n, taken_cycles, f"{target:#x}"))
             body.add(2, f"return {n}")
             body.extend(1, self._flush_lines(n, base_total, f"{last_ft:#x}"))
-            body.add(1, f"return {n}")
         elif last_exec is sem.exec_jal:
             target = (last_pc + last_d.imm) & MASK
             cycles = taken_total if target != last_ft else base_total
             body.extend(1, ctx.w(last_d.rd, f"{last_ft:#x}", canonical=True))
             body.extend(1, self._flush_lines(n, cycles, f"{target:#x}"))
-            body.extend(1, self._chain_line(block, f"{target:#x}"))
-            body.add(1, f"return {n}")
         elif last_exec is sem.exec_jalr:
             body.add(1, f"_t = ({ctx.r(last_d.rs1)} + {last_d.imm})"
                         " & 0xFFFFFFFE")
@@ -339,207 +375,37 @@ class BlockCompiler:
             body.add(2, f"cpu.bus.tick({base_total})")
             body.add(1, "cpu.pc = _t")
             body.add(1, "cpu.next_pc = _t")
-            body.add(1, f"return {n}")
         else:
             # Plain or fallback final: the body already handled any
             # redirect; the straight exit lands on the fallthrough.
-            end = f"{block.end_pc:#x}"
-            body.extend(1, self._flush_lines(n, ctx.prefix[n], end))
-            body.extend(1, self._chain_line(block, end))
-            body.add(1, f"return {n}")
-
-        body_text = "\n".join(body.lines)
-        src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
-        src.add(1, "block.exec_count += 1")
-        if self.hb:
-            src.add(1, "for _h in HB:")
-            src.add(2, "_h(cpu, block)")
-        src.extend(1, self._bindings(body_text, direct=True))
-        src.lines.append(body_text)
+            body.extend(1, self._flush_lines(n, ctx.prefix[n],
+                                             f"{block.end_pc:#x}"))
+        body.add(1, f"return {n}")
+        src = self._prologue("\n".join(body.lines))
+        src.lines.extend(body.lines)
         return src.text()
 
-    # -- fused self-loop shape ------------------------------------------
+    # -- loop shape: self-loops and multi-block traces -----------------
 
-    def _emit_fused(self, block) -> str:
-        ctx = Ctx(block, direct=True, fused=True, win=self.win)
-        ops = block.ops
-        n = len(ops)
-        last_d = ops[-1][0]
-        last_ft, last_base, last_taken = ops[-1][3], ops[-1][4], ops[-1][5]
-        taken_total = ctx.prefix[n - 1] + last_taken
-        base_total = ctx.prefix[n - 1] + last_base
+    @staticmethod
+    def _account(src: _Src, indent: int, retired, cycles) -> None:
+        src.add(indent, f"ret += {retired}")
+        src.add(indent, f"cyc += {cycles}")
+        src.add(indent, f"_tick({cycles})")
 
-        body = _Src()
-        for i in range(n - 1):
-            body.extend(0, EMITTERS[ops[i][1]](ctx, i))
-        cond = BRANCH_CONDS[ops[-1][1]](ctx, last_d)
-        body_text = "\n".join(body.lines)
-        pure = "bload(" not in body_text and "bstore(" not in body_text
-        if pure:
-            return self._emit_fused_batched(
-                block, body.lines, cond, n, taken_total, base_total, last_ft)
-        return self._emit_fused_polling(
-            block, body.lines, cond, n, taken_total, base_total, last_ft)
-
-    def _fused_prologue(self, body_text: str) -> _Src:
-        src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
-        src.extend(1, self._bindings(body_text, direct=True))
-        src.add(1, "_c = cpu.csrs")
-        src.add(1, "_tick = cpu.bus.tick")
-        src.add(1, "_poll = cpu._interrupt_poll")
-        src.add(1, "_rr = _c.raw_read")
-        src.add(1, "_rw = _c.raw_write")
-        src.add(1, "ret = 0")
-        src.add(1, "cyc = 0")
-        return src
-
-    def _fused_polling_exit(self, src: _Src, indent: int, pc: int) -> None:
+    def _loop_exit(self, src: _Src, indent: int, pc: int) -> None:
+        """Flush accounting (cycles are already ticked), park the pc on
+        ``pc``, and return."""
         src.add(indent, "_c.instret += ret")
         src.add(indent, "_c.cycle += cyc")
         src.add(indent, f"cpu.pc = {pc:#x}")
         src.add(indent, f"cpu.next_pc = {pc:#x}")
         src.add(indent, "return ret")
 
-    def _emit_fused_polling(self, block, body_lines, cond, n,
-                            taken_total, base_total, last_ft) -> str:
-        """One iteration per interrupt poll — blocks touching memory
-        (loads may read device time, stores may arm interrupts)."""
-        start = block.start_pc
-        src = self._fused_prologue("\n".join(body_lines))
-        src.add(1, "while True:")
-        src.extend(2, body_lines)
-        src.add(2, f"if {cond}:")
-        src.add(3, f"ret += {n}")
-        src.add(3, f"cyc += {taken_total}")
-        src.add(3, "block.exec_count += 1")
-        src.add(3, f"_tick({taken_total})")
-        # Budget first (the interpreter's run loop would stop without
-        # another interrupt poll), then the interrupt check the next
-        # step would otherwise perform.
-        src.add(3, "if ret >= remaining:")
-        self._fused_polling_exit(src, 4, start)
-        src.add(3, "_mip = _poll()")
-        src.add(3, f"_rw({_MIP:#x}, _mip)")
-        src.add(3, f"if _mip and (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
-                    f"and (_mip & _rr({_MIE:#x})):")
-        self._fused_polling_exit(src, 4, start)
-        src.add(3, "continue")
-        src.add(2, f"ret += {n}")
-        src.add(2, f"cyc += {base_total}")
-        src.add(2, "block.exec_count += 1")
-        src.add(2, f"_tick({base_total})")
-        self._fused_polling_exit(src, 2, last_ft)
-        return src.text()
-
-    def _emit_fused_batched(self, block, body_lines, cond, n,
-                            taken_total, base_total, last_ft) -> str:
-        """Pure-ALU self-loop: batch iterations up to the timer horizon.
-
-        With no memory or CSR access in the body, nothing inside the
-        loop can arm, mask, or observe an interrupt source — only the
-        machine timer can newly fire, at an iteration :func:`_horizon`
-        computes exactly.  Polls (and the ``mip`` shadow writes they
-        perform) between those points are unobservable and elided; the
-        shadow is refreshed at the next poll, so it may lag by one batch
-        across a run boundary (architectural ``mip`` reads always
-        re-poll the devices).
-        """
-        start = block.start_pc
-        src = self._fused_prologue("\n".join(body_lines))
-        src.add(1, f"_timer = (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
-                   f"and (_rr({_MIE:#x}) & 0x80)")
-        src.add(1, "_safe = _batch_safe(cpu)")
-        src.add(1, "while True:")
-        src.add(2, f"_n = _horizon(cpu, remaining - ret, {n}, "
-                   f"{taken_total}, _timer) if _safe else 1")
-        src.add(2, "_it = 0")
-        src.add(2, "while _it < _n:")
-        src.add(3, "_it += 1")
-        src.extend(3, body_lines)
-        src.add(3, f"if {cond}:")
-        src.add(4, "continue")
-        # Branch fell through: account _it - 1 taken iterations plus
-        # this not-taken one, exactly like the interpreter's exit.
-        src.add(3, f"ret += _it * {n}")
-        src.add(3, f"cyc += (_it - 1) * {taken_total} + {base_total}")
-        src.add(3, "block.exec_count += _it")
-        src.add(3, f"_tick((_it - 1) * {taken_total} + {base_total})")
-        self._fused_polling_exit(src, 3, last_ft)
-        src.add(2, f"ret += _n * {n}")
-        src.add(2, f"cyc += _n * {taken_total}")
-        src.add(2, "block.exec_count += _n")
-        src.add(2, f"_tick(_n * {taken_total})")
-        src.add(2, "if ret >= remaining:")
-        self._fused_polling_exit(src, 3, start)
-        src.add(2, "_mip = _poll()")
-        src.add(2, f"_rw({_MIP:#x}, _mip)")
-        src.add(2, f"if _mip and (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
-                   f"and (_mip & _rr({_MIE:#x})):")
-        self._fused_polling_exit(src, 3, start)
-        return src.text()
-
-    # -- multi-block trace shape ----------------------------------------
-
-    def compile_trace(self, blocks):
-        """Compile a chain of blocks into one specialized trace function.
-
-        ``blocks`` is the member list from the backend's hot-chain walk:
-        every member but the last ends in a pure fallthrough or a direct
-        jal (its link write is emitted at the member boundary); the last
-        member either ends in a conditional branch — rendered as a
-        native loop when it targets the head (the common hot-loop form)
-        or as a pair of exits otherwise — or is itself interior-shaped
-        with a ``chain_pc`` leaving the trace.
-
-        The exact-parity contract of the fused shape is kept at **every**
-        member boundary: retire/cycle accounting and a bus tick for the
-        completed member, then the budget check and the interrupt poll
-        (with the raw-``mip`` shadow write) in the order the
-        interpreter's run loop performs them, exiting with the pc parked
-        on the next member's start so the run loop can take over.
-        """
-        if not self.direct or self.hb:
-            raise CompileError(
-                "trace shape requires direct mode without block hooks")
-        if len(blocks) < 2 or len(blocks) > TRACE_MAX_BLOCKS:
-            raise CompileError(f"unsupported trace length {len(blocks)}")
-        src = self._emit_trace(blocks)
-        namespace = self._trace_namespace(blocks)
-        code = compile(src, f"<jit-trace:{blocks[0].start_pc:#x}>", "exec")
-        exec(code, namespace)
-        fn = namespace["_tb"]
-        fn.__jit_source__ = src
-        return fn
-
-    def _trace_namespace(self, blocks) -> dict:
-        namespace = self._base_namespace()
-        offset = 0
-        for m, block in enumerate(blocks):
-            namespace[f"b_{m}"] = block
-            for i, op in enumerate(block.ops):
-                namespace[f"d_{offset + i}"] = op[0]
-                namespace[f"x_{offset + i}"] = op[1]
-            offset += len(block.ops)
-        return namespace
-
-    def _trace_boundary_exit(self, src: _Src, indent: int, pc: int,
-                             chain_m: Optional[int]) -> None:
-        """Flush accounting (cycles are already ticked), park the pc, and
-        return — planting the chain link exactly when the interpreter
-        would (the exiting member has this pc as its ``chain_pc``)."""
-        src.add(indent, "_c.instret += ret")
-        src.add(indent, "_c.cycle += cyc")
-        src.add(indent, f"cpu.pc = {pc:#x}")
-        src.add(indent, f"cpu.next_pc = {pc:#x}")
-        if chain_m is not None and self.chain_enabled:
-            src.add(indent, f"cpu._chain_from = b_{chain_m}")
-        src.add(indent, "return ret")
-
-    def _emit_trace_body(self, src: _Src, indent: int, ctx: Ctx, m: int,
-                         block) -> None:
-        """One member's body plus its retire/cycle/tick accounting.
+    def _emit_member(self, src: _Src, indent: int, ctx: Ctx, m: int,
+                     block) -> None:
+        """One interior member's body plus its retire/cycle/tick
+        accounting.
 
         A trailing direct jal is not a template; its link write and
         taken-cycle cost are rendered here so the member completes
@@ -561,32 +427,46 @@ class BlockCompiler:
                 ops[-1][5] if target != ops[-1][3] else ops[-1][4])
         else:
             cycles = ctx.prefix[n]
-        src.add(indent, f"ret += {n}")
-        src.add(indent, f"cyc += {cycles}")
-        src.add(indent, f"_tick({cycles})")
+        self._account(src, indent, n, cycles)
 
-    def _emit_trace_checks(self, src: _Src, indent: int, pc: int,
-                           chain_m: Optional[int]) -> None:
-        """Budget check then interrupt poll, the run loop's boundary
-        order, exiting to ``pc`` (the next member's start)."""
+    def _emit_checks(self, src: _Src, indent: int, pc: int) -> None:
+        """Budget check then interrupt poll (with the raw-``mip`` shadow
+        write), the run loop's boundary order, exiting to ``pc`` (the
+        next member's start) so the run loop can take over."""
         src.add(indent, "if ret >= remaining:")
-        self._trace_boundary_exit(src, indent + 1, pc, chain_m)
+        self._loop_exit(src, indent + 1, pc)
         src.add(indent, "_mip = _poll()")
         src.add(indent, f"_rw({_MIP:#x}, _mip)")
         src.add(indent, f"if _mip and (_rr({_MSTATUS:#x}) & "
                         f"{_MSTATUS_MIE:#x}) and (_mip & _rr({_MIE:#x})):")
-        self._trace_boundary_exit(src, indent + 1, pc, chain_m)
+        self._loop_exit(src, indent + 1, pc)
 
-    def _emit_trace(self, blocks) -> str:
+    def _emit_loop(self, blocks) -> str:
+        """The loop shape over ``blocks`` (one member for a self-loop).
+
+        Every member boundary keeps the interpreter's exact-parity
+        contract: retire/cycle accounting and a bus tick for the
+        completed member, then :meth:`_emit_checks`.  The one exception
+        is a pure-ALU self-loop (no memory access), which batches
+        iterations between polls — see :func:`_horizon`.  With no memory
+        or CSR access in the body, nothing inside the loop can arm, mask,
+        or observe an interrupt source, so polls (and the ``mip`` shadow
+        writes they perform) between horizon points are unobservable and
+        elided; the shadow is refreshed at the next poll, so it may lag
+        by one batch across a run boundary (architectural ``mip`` reads
+        always re-poll the devices).  Batching a multi-member loop would
+        break the block-granular budget and timer parity, so it never
+        does.
+        """
         head = blocks[0]
         ctxs = []
         offset = 0
         for block in blocks:
-            ctxs.append(Ctx(block, direct=True, fused=True, base=offset,
+            ctxs.append(Ctx(block, direct=True, running=True, base=offset,
                             win=self.win))
             offset += len(block.ops)
-        last = blocks[-1]
-        last_ops = last.ops
+        m = len(blocks) - 1
+        last_ops = blocks[m].ops
         last_exec = last_ops[-1][1]
         branch_final = last_exec in BRANCH_CONDS
         looped = False
@@ -597,47 +477,88 @@ class BlockCompiler:
         indent = 2 if looped else 1
 
         body = _Src()
-        for m, block in enumerate(blocks[:-1]):
-            self._emit_trace_body(body, indent, ctxs[m], m, block)
-            self._emit_trace_checks(body, indent, block.chain_pc, m)
-        m = len(blocks) - 1
-        if branch_final:
-            ctx = ctxs[m]
-            n = len(last_ops)
-            body.add(indent, f"b_{m}.exec_count += 1")
-            for i in range(n - 1):
-                body.extend(indent, EMITTERS[last_ops[i][1]](ctx, i))
-            cond = BRANCH_CONDS[last_exec](ctx, last_d)
-            last_ft = last_ops[-1][3]
-            base_total = ctx.prefix[n - 1] + last_ops[-1][4]
-            taken_total = ctx.prefix[n - 1] + last_ops[-1][5]
-            taken_cycles = taken_total if target != last_ft else base_total
-            body.add(indent, f"if {cond}:")
-            body.add(indent + 1, f"ret += {n}")
-            body.add(indent + 1, f"cyc += {taken_cycles}")
-            body.add(indent + 1, f"_tick({taken_cycles})")
-            if looped:
-                self._emit_trace_checks(body, indent + 1, head.start_pc,
-                                        None)
-                body.add(indent + 1, "continue")
-            else:
-                self._trace_boundary_exit(body, indent + 1, target, None)
-            body.add(indent, f"ret += {n}")
-            body.add(indent, f"cyc += {base_total}")
-            body.add(indent, f"_tick({base_total})")
-            self._trace_boundary_exit(body, indent, last_ft, None)
-        else:
+        for k, block in enumerate(blocks[:-1]):
+            self._emit_member(body, indent, ctxs[k], k, block)
+            self._emit_checks(body, indent, block.chain_pc)
+        if not branch_final:
             # Straight trace: the final member exits to its chain_pc with
             # no boundary checks — the run loop polls before the next
             # step exactly as it would after an interpreted block.
-            self._emit_trace_body(body, indent, ctxs[m], m, blocks[m])
-            self._trace_boundary_exit(body, indent, blocks[m].chain_pc, m)
+            self._emit_member(body, indent, ctxs[m], m, blocks[m])
+            self._loop_exit(body, indent, blocks[m].chain_pc)
+            src = self._prologue_loop("\n".join(body.lines))
+            src.lines.extend(body.lines)
+            return src.text()
 
-        src = self._fused_prologue("\n".join(body.lines))
+        ctx = ctxs[m]
+        n = len(last_ops)
+        member = _Src()
+        for i in range(n - 1):
+            member.extend(0, EMITTERS[last_ops[i][1]](ctx, i))
+        member_text = "\n".join(member.lines)
+        cond = BRANCH_CONDS[last_exec](ctx, last_d)
+        last_ft = last_ops[-1][3]
+        base_total = ctx.prefix[n - 1] + last_ops[-1][4]
+        taken_total = ctx.prefix[n - 1] + last_ops[-1][5]
+        taken = taken_total if target != last_ft else base_total
+        batched = (looped and m == 0 and "bload(" not in member_text
+                   and "bstore(" not in member_text)
+        pre = []
+        if batched:
+            pre = [f"_timer = (_rr({_MSTATUS:#x}) & {_MSTATUS_MIE:#x}) "
+                   f"and (_rr({_MIE:#x}) & 0x80)",
+                   "_safe = _batch_safe(cpu)"]
+            body.add(2, f"_n = _horizon(cpu, remaining - ret, {n}, "
+                        f"{taken}, _timer) if _safe else 1")
+            body.add(2, "_it = 0")
+            body.add(2, "while _it < _n:")
+            body.add(3, "_it += 1")
+            body.extend(3, member.lines)
+            body.add(3, f"if {cond}:")
+            body.add(4, "continue")
+            # Branch fell through: account _it - 1 taken iterations plus
+            # this not-taken one, exactly like the interpreter's exit.
+            body.add(3, "b_0.exec_count += _it")
+            self._account(body, 3, f"_it * {n}",
+                          f"(_it - 1) * {taken} + {base_total}")
+            self._loop_exit(body, 3, last_ft)
+            body.add(2, "b_0.exec_count += _n")
+            self._account(body, 2, f"_n * {n}", f"_n * {taken}")
+            self._emit_checks(body, 2, head.start_pc)
+        else:
+            body.add(indent, f"b_{m}.exec_count += 1")
+            body.extend(indent, member.lines)
+            body.add(indent, f"if {cond}:")
+            self._account(body, indent + 1, n, taken)
+            if looped:
+                self._emit_checks(body, indent + 1, head.start_pc)
+                body.add(indent + 1, "continue")
+            else:
+                self._loop_exit(body, indent + 1, target)
+            self._account(body, indent, n, base_total)
+            self._loop_exit(body, indent, last_ft)
+
+        src = self._prologue_loop("\n".join(body.lines))
+        src.extend(1, pre)
         if looped:
             src.add(1, "while True:")
         src.lines.extend(body.lines)
         return src.text()
+
+    def _prologue_loop(self, body_text: str) -> _Src:
+        """Entry of a loop-shape function (members count their own
+        executions; block hooks rule the shape out)."""
+        src = _Src()
+        src.add(0, "def _tb(cpu, remaining):")
+        src.extend(1, self._bindings(body_text))
+        src.add(1, "_c = cpu.csrs")
+        src.add(1, "_tick = cpu.bus.tick")
+        src.add(1, "_poll = cpu._interrupt_poll")
+        src.add(1, "_rr = _c.raw_read")
+        src.add(1, "_rw = _c.raw_write")
+        src.add(1, "ret = 0")
+        src.add(1, "cyc = 0")
+        return src
 
     # -- method (bookkeeping) shape -------------------------------------
 
@@ -676,14 +597,7 @@ class BlockCompiler:
             body.add(2, f"cyc += {base}")
         body.add(2, "break")
 
-        body_text = "\n".join(body.lines)
-        src = _Src()
-        src.add(0, "def _tb(cpu, remaining):")
-        src.add(1, "block.exec_count += 1")
-        if self.hb:
-            src.add(1, "for _h in HB:")
-            src.add(2, "_h(cpu, block)")
-        src.extend(1, self._bindings(body_text, direct=False))
+        src = self._prologue("\n".join(body.lines))
         src.add(1, "ret = 0")
         src.add(1, "cyc = 0")
         src.add(1, "_pend = None")
@@ -699,8 +613,5 @@ class BlockCompiler:
         src.add(2, "cpu.bus.tick(cyc)")
         src.add(1, "if _pend is not None:")
         src.add(2, "cpu._take_trap(_pend.cause, _pend.tval)")
-        if self.chain_enabled and block.chain_pc is not None:
-            src.add(1, f"elif cpu.pc == {block.chain_pc:#x}:")
-            src.add(2, "cpu._chain_from = block")
         src.add(1, "return ret")
         return src.text()

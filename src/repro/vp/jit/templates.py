@@ -51,18 +51,18 @@ class Ctx:
 
     Carries the register-access mode, per-instruction accounting
     constants (retired count and cycle prefix sums, optionally offset by
-    the fused loop's running accumulators), and the trap/exit epilogue
+    the loop shape's running accumulators), and the trap/exit epilogue
     renderers shared by all memory emitters.
     """
 
-    def __init__(self, block, direct: bool, fused: bool = False,
+    def __init__(self, block, direct: bool, running: bool = False,
                  base: int = 0, win=None) -> None:
         self.block = block
         self.direct = direct
-        #: In the fused self-loop shape, accounting is offset by the
-        #: running ``ret``/``cyc`` locals and prior iterations have
-        #: already ticked the bus.
-        self.fused = fused
+        #: In the loop shape (self-loops and traces), accounting is offset
+        #: by the running ``ret``/``cyc`` locals and prior iterations or
+        #: members have already ticked the bus.
+        self.running = running
         #: Namespace name offset: instruction ``i`` of this block binds
         #: ``d_{base+i}`` / ``x_{base+i}``.  Non-zero only for trace
         #: members, whose blocks share one function namespace.
@@ -98,13 +98,13 @@ class Ctx:
 
     def ret_at(self, i: int) -> str:
         """Instructions retired when instruction ``i`` traps."""
-        return f"ret + {i}" if self.fused else str(i)
+        return f"ret + {i}" if self.running else str(i)
 
     def cyc_at(self, i: int) -> str:
         """Cycles to flush when instruction ``i`` traps (its base cost
         charged, like the interpreter's trap path)."""
         partial = self.prefix[i] + self.ops[i][4]
-        return f"cyc + {partial}" if self.fused else str(partial)
+        return f"cyc + {partial}" if self.running else str(partial)
 
     def tick_at(self, i: int) -> str:
         """Cycles not yet ticked when instruction ``i`` traps."""

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from ..isa import csr as csrdef
 from ..isa.decoder import Decoder, IsaConfig, RV32IMC_ZICSR
-from .backends import create_backend
+from .backends import DEFAULT_BACKEND, create_backend
 from .cpu import Cpu, RunResult, STOP_EXIT, STOP_MAX_INSNS
 from .devices.clint import Clint, WINDOW_SIZE as CLINT_SIZE
 from .devices.exitdev import ExitDevice, WINDOW_SIZE as EXIT_SIZE
@@ -142,15 +142,15 @@ class MachineConfig:
     tb_cache_max_blocks: Optional[int] = 4096
     semihosting: bool = True  # handle exit/write ecalls in the machine
     icache: Optional["ICacheConfig"] = None  # fetch-cache model, off by default
-    #: Execution backend: ``fastpath`` (default), ``interp``, or
-    #: ``compiled`` (the tiered template JIT, see docs/performance.md).
-    backend: str = "fastpath"
+    #: Execution backend: ``interp`` (default) or ``compiled`` (the
+    #: tiered template JIT, see docs/performance.md).
+    backend: str = DEFAULT_BACKEND
     #: Block executions before the ``compiled`` backend promotes a block
-    #: to its JIT tier.  Ignored by the other backends.
+    #: to its JIT tier.  Ignored by ``interp``.
     jit_threshold: int = 8
     #: Compiled-with-hot-chain-edge executions before the ``compiled``
     #: backend fuses a block chain into a multi-block trace.  Ignored by
-    #: the other backends.
+    #: ``interp``.
     jit_trace_threshold: int = 16
 
 

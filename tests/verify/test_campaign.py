@@ -105,7 +105,7 @@ class TestCampaignRuns:
         assert result.divergences == 0
         report = result.to_dict()
         assert report["programs"] == 3
-        assert report["comparisons"] == 9     # 3 programs x 3 pairs
+        assert report["comparisons"] == 3     # 3 programs x 1 pair
         assert report["divergences"] == 0
         assert report["findings"] == []
 
@@ -124,7 +124,7 @@ class TestCampaignRuns:
 
     def test_pool_matches_inline(self):
         config = VerifyCampaignConfig(corpus="torture:4",
-                                      matrix="interp:fastpath",
+                                      matrix="interp:nocache",
                                       max_instructions=2000)
         inline = DiffCampaign(RV32IMC_ZICSR, config).run()
         pooled = DiffCampaign(
@@ -137,4 +137,4 @@ class TestCampaignRuns:
             corpus="torture:1", matrix="cache",
             max_instructions=2000)).run()
         table = result.table()
-        assert "fastpath~nocache" in table
+        assert "interp~nocache" in table

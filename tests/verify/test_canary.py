@@ -77,10 +77,10 @@ class TestCanaryHygiene:
 
     def test_interp_pair_blind_to_tier_bug(self):
         # Both interpreted sides run the same perturbed semantics, so an
-        # interp~fastpath pair must stay silent: the canary specifically
+        # interp~nocache pair must stay silent: the canary specifically
         # exercises the JIT tier boundary.
         with perturbed_semantics(RV32IMC_ZICSR, mnemonic="add"):
             result = DiffCampaign(RV32IMC_ZICSR, VerifyCampaignConfig(
-                corpus="torture:1", matrix="interp:fastpath",
+                corpus="torture:1", matrix="interp:nocache",
                 max_instructions=2000)).run()
         assert result.divergences == 0

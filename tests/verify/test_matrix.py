@@ -6,10 +6,9 @@ from repro.verify import AXES, CONFIGS, parse_matrix
 
 
 class TestParseMatrix:
-    def test_backends_axis_expands_to_three_pairs(self):
+    def test_backends_axis_expands_to_interp_compiled(self):
         matrix = parse_matrix("backends")
-        assert matrix.pair_names == [
-            "interp~fastpath", "interp~compiled", "fastpath~compiled"]
+        assert matrix.pair_names == ["interp~compiled"]
 
     def test_every_axis_expands_to_known_configs(self):
         for axis, pairs in AXES.items():
@@ -24,12 +23,10 @@ class TestParseMatrix:
         assert matrix.pair_names == ["interp~compiled"]
 
     def test_axes_compose_and_dedupe(self):
-        # "backends" already includes fastpath~compiled; the explicit
+        # "backends" already includes interp~compiled; the explicit
         # token must not duplicate it.
-        matrix = parse_matrix("backends,fastpath:compiled,cache")
-        assert matrix.pair_names == [
-            "interp~fastpath", "interp~compiled", "fastpath~compiled",
-            "fastpath~nocache"]
+        matrix = parse_matrix("backends,interp:compiled,cache")
+        assert matrix.pair_names == ["interp~compiled", "interp~nocache"]
 
     def test_whitespace_tolerated(self):
         assert parse_matrix(" backends , cache ").pair_names == \
@@ -68,8 +65,7 @@ class TestConfigs:
     def test_configs_lists_each_config_once(self):
         matrix = parse_matrix("backends,traces")
         names = [config.name for config in matrix.configs()]
-        assert names == ["interp", "fastpath", "compiled",
-                         "compiled+traces"]
+        assert names == ["interp", "compiled", "compiled+traces"]
         assert len(names) == len(set(names))
 
     def test_compiled_config_promotes_immediately(self):

@@ -1,14 +1,14 @@
-"""Backend parity: ``interp`` / ``fastpath`` / ``compiled`` must be
-architecturally indistinguishable.
+"""Backend parity: ``interp`` and ``compiled`` must be architecturally
+indistinguishable.
 
 Every program from the three testgen suites plus a 200-program fuzz
-corpus runs under all three execution backends — with and without
+corpus runs under both execution backends — with and without
 per-instruction hooks attached for the directed suites — and the suite
 asserts byte-identical :class:`RunResult`, final register file, CSR
 state, counters, and pc.
 
 Digest note: MIP (0x344) is read *architecturally* (``csrs.read``), not
-via ``raw_read``.  The compiled tier's batched fused loops skip the
+via ``raw_read``.  The compiled tier's batched self-loops skip the
 per-iteration raw-MIP shadow refresh (it is rewritten at the next poll),
 so the raw shadow may legitimately lag by one batch at a run boundary
 while the architectural value — which re-polls the interrupt sources —
@@ -105,11 +105,10 @@ def test_suite_program_parity(name, program, hooks):
             stats = machine.jit_stats()
             assert stats is not None
     reference = results["interp"]
-    for backend in ("fastpath", "compiled"):
-        assert results[backend] == reference, (
-            f"{name} diverged under {backend}:\n"
-            f"  interp:   {reference}\n"
-            f"  {backend}: {results[backend]}")
+    assert results["compiled"] == reference, (
+        f"{name} diverged under compiled:\n"
+        f"  interp:   {reference}\n"
+        f"  compiled: {results['compiled']}")
 
 
 #: A memory-heavy loop long enough to split into multiple translation
@@ -165,13 +164,11 @@ def test_trace_and_fastpath_parity(hooks):
             assert stats["traces_compiled"] >= 1, stats
             assert stats["trace_instructions"] > \
                 stats["compiled_instructions"], stats
-    for backend in ("fastpath", "compiled"):
-        assert results[backend] == results["interp"], backend
-        assert observables[backend] == observables["interp"], backend
+    assert results["compiled"] == results["interp"]
+    assert observables["compiled"] == observables["interp"]
 
 
-@pytest.mark.parametrize("pair", [("interp", "compiled"),
-                                  ("fastpath", "compiled")],
+@pytest.mark.parametrize("pair", [("interp", "compiled")],
                          ids=lambda p: "-vs-".join(p))
 def test_lockstep_over_trace_program(pair):
     """Per-instruction lockstep across the multi-block memory loop."""
@@ -209,7 +206,7 @@ def test_compiled_tier_actually_engages():
 
 
 def test_fuzz_corpus_parity():
-    """200 seeded random programs, three backends, identical outcomes."""
+    """200 seeded random programs, both backends, identical outcomes."""
     rng = random.Random(0xC0FFEE)
     mutator = IsaMutator(RV32IMC_ZICSR)
     builder = ProgramBuilder(RV32IMC_ZICSR)
@@ -221,16 +218,13 @@ def test_fuzz_corpus_parity():
                 words.append(word)
         program = builder.build(words)
         reference = run_one(program, "interp", budget=5_000)[:3]
-        for backend in ("fastpath", "compiled"):
-            got = run_one(program, backend, budget=5_000)[:3]
-            assert got == reference, (
-                f"fuzz program {index} diverged under {backend}: "
-                f"words={[hex(w) for w in words]}")
+        got = run_one(program, "compiled", budget=5_000)[:3]
+        assert got == reference, (
+            f"fuzz program {index} diverged under compiled: "
+            f"words={[hex(w) for w in words]}")
 
 
-@pytest.mark.parametrize("pair", [("interp", "fastpath"),
-                                  ("interp", "compiled"),
-                                  ("fastpath", "compiled")],
+@pytest.mark.parametrize("pair", [("interp", "compiled")],
                          ids=lambda p: "-vs-".join(p))
 def test_lockstep_per_instruction(pair):
     """Per-instruction lockstep over a branchy, memory-touching loop."""
