@@ -714,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the same fault list")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="mutant worker processes (1 = in-process, "
-                        "0 = auto-detect CPUs; falls back to 1 if "
-                        "workers cannot spawn)")
+                        "0 = auto-detect CPUs; runs in-process if "
+                        "workers cannot start)")
     p.add_argument("--no-checkpoints", action="store_true",
                    help="disable warm-checkpoint acceleration for "
                         "transient mutants (classification is identical "
@@ -828,8 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission queue capacity (full queue -> HTTP 429)")
     p.add_argument("--mode", choices=("thread", "process"),
                    default="thread",
-                   help="worker pool backing (process = spawn-safe "
-                        "multiprocessing pool)")
+                   help="worker pool backing (process = worker "
+                        "processes)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
     telemetry_flags(p)

@@ -13,7 +13,7 @@ re-dispatch.  See docs/serving.md ("Cluster mode").
 
 from .client import CoordinatorClient
 from .coordinator import ClusterCoordinator
-from .fuzzdriver import DistributedFuzzEngine, split_batch
+from .fuzzdriver import DistributedFuzzEngine
 from .leases import LeaseTable, NodeInfo, NodeRegistry, WorkItem
 from .node import WorkerNode
 from .quotas import QuotaExceeded, TenantQuotas
@@ -35,5 +35,4 @@ __all__ = [
     "merge_campaign_shards",
     "plan_shards",
     "shard_count_for",
-    "split_batch",
 ]

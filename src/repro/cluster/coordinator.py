@@ -35,13 +35,14 @@ import time
 from queue import SimpleQueue
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..pool import merge, ranges
 from ..serve.executors import _EXECUTORS, ExecutorError
 from ..serve.jobs import (Job, JobCancelled, JobContext, JobSpec, JobTimeout,
                           STATES)
 from ..serve.queue import AdmissionQueue, QueueClosed, QueueFull
 from ..serve.service import ServiceClosed
 from ..telemetry.session import resolve as _resolve_telemetry
-from .fuzzdriver import DistributedFuzzEngine, split_batch
+from .fuzzdriver import DistributedFuzzEngine
 from .leases import LeaseTable, NodeRegistry, WORK_DONE, WORK_FAILED
 from .quotas import QuotaExceeded, TenantQuotas
 from .shards import FUZZ_DRIVER, SHARDABLE_KINDS, plan_shards
@@ -416,13 +417,13 @@ class ClusterCoordinator:
         """One fuzz batch as ``fuzz_eval`` work items, order-restored."""
         from ..fuzz.executor import EvalResult
 
-        chunks = split_batch(batch, shard_count)
         plans = [{"kind": "fuzz_eval",
-                  "payload": {**base,
-                              "inputs": [list(words) for words in inputs]},
+                  "payload": {**base, "inputs": [list(words) for words
+                                                 in batch[lo:hi]]},
                   "shard_index": index,
                   "shard_count": shard_count}
-                 for index, inputs in chunks]
+                 for index, (lo, hi)
+                 in enumerate(ranges(len(batch), shard_count))]
         items = self.work.add(job.id, plans)
         self._update_work_gauges()
         done = self.work.wait([item.id for item in items],
@@ -432,15 +433,15 @@ class ClusterCoordinator:
         ctx.check()
         if not done:
             raise RuntimeError("batch evaluation aborted")
-        results = []
-        for item in sorted((self.work.get(item.id) for item in items),
-                           key=lambda it: it.shard_index):
+        items = [self.work.get(item.id) for item in items]
+        for item in items:
             if item.state != WORK_DONE:
                 raise RuntimeError(
                     f"work item {item.id} failed: {item.error}")
-            results.extend(EvalResult.from_dict(data)
-                           for data in item.result["results"])
-        return results
+        chunks = merge((item.shard_index, item.result["results"])
+                       for item in items)
+        return [EvalResult.from_dict(data) for chunk in chunks
+                for data in chunk]
 
     # -- finalization ---------------------------------------------------
 

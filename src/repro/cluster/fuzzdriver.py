@@ -8,8 +8,9 @@ folding any result back, and executions are independent (each node's
 evaluator restores a pristine snapshot between inputs).  So the
 coordinator runs a :class:`DistributedFuzzEngine` — a stock
 :class:`~repro.fuzz.engine.FuzzEngine` whose ``_evaluate_batch`` ships
-the batch to the cluster as ``fuzz_eval`` work items, one per shard,
-and restores submission order before the corpus sees anything.
+the batch to the cluster as ``fuzz_eval`` work items, one per non-empty
+:func:`repro.pool.ranges` slice, and restores submission order
+(:func:`repro.pool.merge`) before the corpus sees anything.
 
 Determinism contract: the corpus trajectory is a pure function of
 ``(seeds, seed, iterations)`` exactly as in-process, because the only
@@ -27,28 +28,11 @@ from typing import Callable, List, Optional, Tuple
 from ..fuzz.engine import FuzzConfig, FuzzEngine
 from ..fuzz.executor import EvalResult
 from ..isa.decoder import IsaConfig
-from ..serve.executors import shard_bounds
 
-__all__ = ["DistributedFuzzEngine", "split_batch"]
+__all__ = ["DistributedFuzzEngine"]
 
 #: Evaluates one list of word-lists remotely, preserving order.
 BatchEvaluator = Callable[[List[Tuple[int, ...]]], List[EvalResult]]
-
-
-def split_batch(batch: List[Tuple[int, ...]], shard_count: int
-                ) -> List[Tuple[int, List[Tuple[int, ...]]]]:
-    """Contiguous ``(shard_index, inputs)`` chunks of one batch.
-
-    Uses the same balanced :func:`~repro.serve.executors.shard_bounds`
-    split as campaign sharding; empty chunks are dropped (small final
-    batches may not fill every shard).
-    """
-    chunks = []
-    for index in range(shard_count):
-        lo, hi = shard_bounds(len(batch), shard_count, index)
-        if hi > lo:
-            chunks.append((index, batch[lo:hi]))
-    return chunks
 
 
 class DistributedFuzzEngine(FuzzEngine):
@@ -60,7 +44,7 @@ class DistributedFuzzEngine(FuzzEngine):
         super().__init__(isa, config, telemetry=telemetry)
         self._evaluate_remote = evaluate_remote
 
-    def _start_pool(self) -> None:
+    def _start_workers(self) -> None:
         # The cluster is the pool.  ``_jobs`` stays 1 so the result
         # envelope (``FuzzResult.jobs``) is byte-identical to the
         # single-process ``jobs=1`` reference run.

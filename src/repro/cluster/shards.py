@@ -11,13 +11,13 @@ spec (pinned by ``tests/cluster/test_parity.py``).
   work items.  Fault campaigns split into ``fault_campaign_shard``
   items over contiguous fault-index ranges and verify campaigns into
   ``verify_shard`` items over contiguous program ranges (both via
-  :func:`repro.serve.executors.shard_bounds`); everything else (and
+  :func:`repro.pool.shard_bounds`); everything else (and
   ``shards=1``) is a single passthrough item.  Fuzz jobs are
   *dynamically* sharded per batch by the coordinator's fuzz driver and
   deliberately return a plan marker here.
-* :func:`merge_job_shards` restores submission order (shard index) and
-  rebuilds the exact single-process result envelope via the same shared
-  builders the passthrough executors use
+* :func:`merge_job_shards` restores submission order (shard index, via
+  :func:`repro.pool.merge`) and rebuilds the exact single-process result
+  envelope via the same shared builders the passthrough executors use
   (:func:`~repro.serve.executors.campaign_result_dict`,
   :func:`~repro.verify.verify_report_dict`).
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..pool import merge
 from ..serve.jobs import JobSpec
 
 __all__ = [
@@ -110,7 +111,8 @@ def merge_campaign_shards(shard_results: List[Dict[str, Any]]
     """
     from ..serve.executors import campaign_result_dict
 
-    ordered = _ordered_shards(shard_results, "campaign")
+    count = shard_results[0]["shard_count"] if shard_results else 0
+    ordered = merge([(s["shard_index"], s) for s in shard_results], count)
     results: List[Dict[str, Any]] = []
     for shard in ordered:
         results.extend(shard["results"])
@@ -135,7 +137,8 @@ def merge_verify_shards(shard_results: List[Dict[str, Any]]
     """
     from ..verify import verify_report_dict
 
-    ordered = _ordered_shards(shard_results, "verify")
+    count = shard_results[0]["shard_count"] if shard_results else 0
+    ordered = merge([(s["shard_index"], s) for s in shard_results], count)
     meta = ordered[0]["meta"]
     for shard in ordered[1:]:
         if shard["meta"] != meta:
@@ -161,14 +164,3 @@ def merge_job_shards(kind: str,
         return merge_verify_shards(shard_results)
     raise ValueError(f"job kind {kind!r} has no shard merge")
 
-
-def _ordered_shards(shard_results: List[Dict[str, Any]],
-                    what: str) -> List[Dict[str, Any]]:
-    if not shard_results:
-        raise ValueError(f"cannot merge zero {what} shards")
-    ordered = sorted(shard_results, key=lambda s: s["shard_index"])
-    indices = [s["shard_index"] for s in ordered]
-    if indices != list(range(ordered[0]["shard_count"])):
-        raise ValueError(f"incomplete shard set: got indices {indices}, "
-                         f"expected 0..{ordered[0]['shard_count'] - 1}")
-    return ordered

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..asm import Program
 from ..isa.decoder import IsaConfig
+from ..pool import resolve_jobs
 from ..telemetry.session import resolve as _resolve_telemetry
 from ..vp.backends import DEFAULT_BACKEND
 from ..vp.cpu import STOP_EXIT
@@ -409,38 +410,60 @@ class FaultCampaign:
             "eta_seconds": round(remaining / rate, 1) if rate else None,
         }
 
+    def _report(self, on_progress, done: int, total: int,
+                elapsed: float) -> None:
+        """One progress record, to ``on_progress`` and the event log."""
+        progress = self._progress(done, total, elapsed)
+        if self.telemetry.enabled:
+            self.telemetry.events.emit("campaign.progress", **progress)
+        if on_progress is not None:
+            on_progress(progress)
+
+    def _finish(self, result: CampaignResult, on_progress, **fields) -> None:
+        """The final progress record, throughput gauge and
+        ``campaign.finished`` event (``fields`` ride along on it)."""
+        telemetry = self.telemetry
+        if on_progress is not None:
+            on_progress(self._progress(result.total, result.total,
+                                       result.elapsed_seconds))
+        if not telemetry.enabled:
+            return
+        telemetry.metrics.namespace("faultsim.campaign").gauge(
+            "mutants_per_second").set(result.mutants_per_second)
+        telemetry.events.emit(
+            "campaign.finished",
+            total=result.total,
+            counts=result.counts,
+            elapsed_seconds=round(result.elapsed_seconds, 3),
+            mutants_per_second=round(result.mutants_per_second, 2),
+            normal_termination_fraction=round(
+                result.normal_termination_fraction, 4),
+            **fields)
+
     def run(
         self,
         faults: Sequence[Fault],
         on_progress: Optional[Callable[[Dict], None]] = None,
         progress_interval: float = 1.0,
         jobs: int = 1,
-        chunk_size: Optional[int] = None,
     ) -> CampaignResult:
         """Classify every fault; returns the aggregated result.
 
-        ``jobs`` > 1 fans the fault list out to a multiprocessing worker
-        pool (see :mod:`repro.faultsim.parallel`); the result ordering
-        and classification are identical to the sequential run, and the
-        engine falls back to in-process execution (with a warning) when
-        workers cannot be spawned.  ``jobs=0`` auto-detects
-        ``os.cpu_count()``; ``chunk_size`` overrides the work-stealing
-        chunk granularity.
+        ``jobs`` > 1 fans the fault list out to worker processes (see
+        :mod:`repro.faultsim.parallel`); the result ordering and
+        classification are identical to the sequential run.  ``jobs=0``
+        means every CPU and a negative count is an error
+        (:func:`repro.pool.resolve_jobs`).
 
         ``on_progress`` (if given) is called with a progress dict
         (``done``/``total``/``mutants_per_second``/``eta_seconds``) at
         most every ``progress_interval`` seconds and once at the end;
         the same records land in the telemetry event log when enabled.
         """
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
-        if jobs == 0:
-            import os
-            jobs = os.cpu_count() or 1
+        jobs = resolve_jobs(jobs)
         if jobs > 1:
             from .parallel import run_parallel
             return run_parallel(self, faults, jobs=jobs,
-                                chunk_size=chunk_size,
                                 on_progress=on_progress,
                                 progress_interval=progress_interval)
         telemetry = self.telemetry
@@ -482,31 +505,11 @@ class FaultCampaign:
                             instructions=result.instructions)
             now = time.perf_counter()
             if now - last_report >= progress_interval:
-                progress = self._progress(index + 1, total, now - start)
-                if telemetry.enabled:
-                    events.emit("campaign.progress", **progress)
-                if on_progress is not None:
-                    on_progress(progress)
+                self._report(on_progress, index + 1, total, now - start)
                 last_report = now
         elapsed = time.perf_counter() - start
         campaign_result = CampaignResult(golden, results, elapsed)
         if telemetry.enabled:
             self.push_checkpoint_stats(telemetry)
-        if track:
-            final = self._progress(total, total, elapsed)
-            if on_progress is not None:
-                on_progress(final)
-            if telemetry.enabled:
-                metrics.gauge("mutants_per_second").set(
-                    campaign_result.mutants_per_second)
-                events.emit(
-                    "campaign.finished",
-                    total=total,
-                    counts=campaign_result.counts,
-                    elapsed_seconds=round(elapsed, 3),
-                    mutants_per_second=round(
-                        campaign_result.mutants_per_second, 2),
-                    normal_termination_fraction=round(
-                        campaign_result.normal_termination_fraction, 4),
-                )
+        self._finish(campaign_result, on_progress)
         return campaign_result

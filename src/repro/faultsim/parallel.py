@@ -1,12 +1,13 @@
-"""Parallel fault-campaign engine: a multiprocessing mutant worker pool.
+"""Parallel fault-campaign engine: mutant chunks on :mod:`repro.pool`.
 
 Campaigns are embarrassingly parallel after the golden run — every mutant
-simulation is independent — so this module fans the fault list out to a
-``multiprocessing`` pool:
+simulation is independent — so this module fans the fault list out to
+:class:`repro.pool.Workers`:
 
 * workers are **seeded once** with a picklable :class:`CampaignSpec`
-  (program image, ISA name, budgets, the parent's golden reference) and
-  build their own :class:`~repro.faultsim.campaign.FaultCampaign`;
+  (program image, ISA name, budgets, the parent's golden reference)
+  whose :meth:`~CampaignSpec.build` makes their own
+  :class:`~repro.faultsim.campaign.FaultCampaign`;
 * mutants are dispatched in **chunks through the pool's shared task
   queue** — idle workers steal the next chunk, so stragglers (hang
   mutants burning their full instruction budget) don't serialize the
@@ -17,27 +18,27 @@ simulation is independent — so this module fans the fault list out to a
   carries the campaign's distinct triggers so every worker builds its
   checkpoint chain in one golden sweep at init, and each chunk reports
   the worker's ``faultsim.checkpoint.*`` counter deltas for the merge;
-* every chunk returns with its **original fault indices**, so the merged
-  ``CampaignResult.results`` ordering is byte-identical to a sequential
-  run;
+* every chunk returns with its **original fault indices**, so the
+  merged (:func:`repro.pool.merge`) ``CampaignResult.results`` ordering
+  is byte-identical to a sequential run;
 * per-worker throughput (mutants/s, outcome counts) is merged into the
   parent session's :class:`~repro.telemetry.MetricsRegistry` and event
   log.
 
 Entry point: :meth:`FaultCampaign.run(faults, jobs=N)
 <repro.faultsim.campaign.FaultCampaign.run>` (or ``repro faults --jobs N``
-on the command line).  If the platform cannot spawn worker processes the
-engine warns and falls back to the sequential path instead of crashing.
+on the command line).  If the platform cannot start worker processes,
+the pool warns and classifies the chunks in-process instead of crashing.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..asm import Program
+from ..pool import Workers, merge
 from ..vp.backends import DEFAULT_BACKEND
 
 __all__ = ["CampaignSpec", "run_parallel", "default_chunk_size"]
@@ -46,8 +47,9 @@ __all__ = ["CampaignSpec", "run_parallel", "default_chunk_size"]
 #: rebalance around slow (hang/budget-exhausting) mutants.
 MAX_CHUNK = 64
 
-# Worker-process state, populated once by _worker_init.
-_WORKER_CAMPAIGN = None
+#: The :class:`CampaignSpec` fields that are ``FaultCampaign`` options.
+_OPTIONS = ("budget_multiplier", "min_budget", "golden_budget",
+            "reuse_machine", "checkpoints", "digest_interval", "backend")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,21 @@ class CampaignSpec:
     checkpoint_triggers: Tuple[int, ...] = ()
     backend: str = DEFAULT_BACKEND
 
+    def build(self):
+        """A worker's own campaign, on the parent's golden reference."""
+        from ..isa.decoder import IsaConfig
+        from .campaign import FaultCampaign
+
+        campaign = FaultCampaign(
+            self.program, isa=IsaConfig.from_string(self.isa_name),
+            **{name: getattr(self, name) for name in _OPTIONS})
+        # Reuse the parent's golden reference: workers never re-run it.
+        campaign._golden = self.golden
+        # One golden sweep builds every checkpoint this worker will need;
+        # chunk arrival order then only ever triggers warm restores.
+        campaign.prepare_checkpoints(self.checkpoint_triggers)
+        return campaign
+
 
 def _spec_for(campaign, faults: Sequence = ()) -> CampaignSpec:
     from .faults import TRANSIENT
@@ -79,64 +96,19 @@ def _spec_for(campaign, faults: Sequence = ()) -> CampaignSpec:
             fault.trigger for fault in faults if fault.kind == TRANSIENT
         }))
     return CampaignSpec(
-        program=campaign.program,
-        isa_name=campaign.isa.name,
-        budget_multiplier=campaign.budget_multiplier,
-        min_budget=campaign.min_budget,
-        golden_budget=campaign.golden_budget,
-        reuse_machine=campaign.reuse_machine,
-        golden=campaign.golden(),
-        checkpoints=campaign.checkpoints,
-        digest_interval=campaign.digest_interval,
-        checkpoint_triggers=triggers,
-        backend=campaign.backend,
-    )
+        program=campaign.program, isa_name=campaign.isa.name,
+        golden=campaign.golden(), checkpoint_triggers=triggers,
+        **{name: getattr(campaign, name) for name in _OPTIONS})
 
 
-def _worker_init(spec: CampaignSpec) -> None:
-    """Pool initializer: seed this worker with its own campaign."""
-    global _WORKER_CAMPAIGN
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
-    from ..isa.decoder import IsaConfig
-    from .campaign import FaultCampaign
+def _classify(campaign, faults: Sequence) -> Tuple[List, Dict[str, int]]:
+    """Classify one chunk of faults on a worker's campaign.
 
-    campaign = FaultCampaign(
-        spec.program,
-        isa=IsaConfig.from_string(spec.isa_name),
-        budget_multiplier=spec.budget_multiplier,
-        min_budget=spec.min_budget,
-        golden_budget=spec.golden_budget,
-        reuse_machine=spec.reuse_machine,
-        checkpoints=spec.checkpoints,
-        digest_interval=spec.digest_interval,
-        backend=spec.backend,
-    )
-    # Reuse the parent's golden reference: workers never re-run it.
-    campaign._golden = spec.golden
-    # One golden sweep builds every checkpoint this worker will need;
-    # chunk arrival order then only ever triggers warm restores.
-    campaign.prepare_checkpoints(spec.checkpoint_triggers)
-    _WORKER_CAMPAIGN = campaign
-
-
-def _run_chunk(
-    job: Tuple[Tuple[int, ...], Sequence],
-) -> Tuple[Tuple[int, ...], List, float, int, Dict[str, int]]:
-    """Classify one chunk of faults.
-
-    Returns ``(indices, results, busy_seconds, worker_pid, ckpt_stats)``
-    — the original fault indices re-order the merged results, the pid
-    attributes the chunk to its worker for the merged telemetry, and the
-    checkpoint stats are this worker's *cumulative* counters (the parent
-    diffs consecutive reports per pid).
+    The checkpoint stats are the worker's *cumulative* counters (the
+    parent diffs consecutive reports per pid).
     """
-    import os
-
-    indices, faults = job
-    started = time.perf_counter()
-    results = [_WORKER_CAMPAIGN.run_one(fault) for fault in faults]
-    return (indices, results, time.perf_counter() - started, os.getpid(),
-            _WORKER_CAMPAIGN.checkpoint_stats())
+    return ([campaign.run_one(fault) for fault in faults],
+            campaign.checkpoint_stats())
 
 
 def default_chunk_size(total: int, jobs: int) -> int:
@@ -146,37 +118,17 @@ def default_chunk_size(total: int, jobs: int) -> int:
     return max(1, min(MAX_CHUNK, -(-total // (jobs * 8))))
 
 
-def _make_pool(jobs: int, spec: CampaignSpec):
-    """A worker pool on the cheapest available start method.
-
-    ``fork`` (where offered) avoids re-importing the interpreter per
-    worker; the job specs stay fully picklable so ``spawn`` platforms
-    (macOS/Windows) work identically.
-    """
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-    else:
-        ctx = multiprocessing.get_context()
-    return ctx.Pool(processes=jobs, initializer=_worker_init,
-                    initargs=(spec,))
-
-
 def run_parallel(
     campaign,
     faults: Sequence,
     jobs: int,
-    chunk_size: Optional[int] = None,
     on_progress: Optional[Callable[[Dict], None]] = None,
     progress_interval: float = 1.0,
 ):
     """Run ``campaign`` over ``faults`` on ``jobs`` worker processes.
 
-    Falls back to the sequential engine (with a warning) when worker
-    processes cannot be created.  The returned
-    :class:`~repro.faultsim.campaign.CampaignResult` matches the
-    sequential result ordering and classification exactly.
+    The returned :class:`~repro.faultsim.campaign.CampaignResult`
+    matches the sequential result ordering and classification exactly.
     """
     from .campaign import CampaignResult, OUTCOMES
 
@@ -190,21 +142,11 @@ def run_parallel(
                             progress_interval=progress_interval)
 
     spec = _spec_for(campaign, faults)
-    try:
-        pool = _make_pool(jobs, spec)
-    except (OSError, ImportError, ValueError, RuntimeError) as exc:
-        warnings.warn(
-            f"could not start {jobs} campaign workers ({exc}); "
-            "falling back to the sequential engine", RuntimeWarning,
-            stacklevel=2)
-        return campaign.run(faults, on_progress=on_progress,
-                            progress_interval=progress_interval)
-
     telemetry = campaign.telemetry
     events = telemetry.events
     metrics = telemetry.metrics.namespace("faultsim.campaign")
     track = telemetry.enabled or on_progress is not None
-    size = chunk_size or default_chunk_size(total, jobs)
+    size = default_chunk_size(total, jobs)
     if spec.checkpoint_triggers:
         # Trigger-sorted dispatch: each chunk covers a contiguous band of
         # checkpoint triggers, so a worker's restores stay near the
@@ -239,7 +181,7 @@ def run_parallel(
         outcome: metrics.counter(f"outcome.{outcome}")
         for outcome in OUTCOMES
     }
-    ordered: List = [None] * total
+    classified: List = []
     worker_stats: Dict[int, Dict] = {}
     # Per-pid last-seen cumulative checkpoint counters: chunk reports are
     # cumulative, so the first delta also captures the worker-init
@@ -249,11 +191,10 @@ def run_parallel(
     start = time.perf_counter()
     last_report = start
     done = 0
-    try:
-        for indices, results, busy_seconds, pid, ckpt_stats in \
-                pool.imap_unordered(_run_chunk, chunks):
-            for index, mutant in zip(indices, results):
-                ordered[index] = mutant
+    with Workers(jobs, spec) as workers:
+        for indices, (results, ckpt_stats), busy_seconds, pid in \
+                workers.map(_classify, chunks):
+            classified.extend(zip(indices, results))
             done += len(results)
             previous = ckpt_seen.get(pid, {})
             for key, value in ckpt_stats.items():
@@ -275,17 +216,10 @@ def run_parallel(
                 continue
             now = time.perf_counter()
             if now - last_report >= progress_interval:
-                progress = campaign._progress(done, total, now - start)
-                if telemetry.enabled:
-                    events.emit("campaign.progress", **progress)
-                if on_progress is not None:
-                    on_progress(progress)
+                campaign._report(on_progress, done, total, now - start)
                 last_report = now
-    finally:
-        pool.close()
-        pool.join()
     elapsed = time.perf_counter() - start
-    result = CampaignResult(golden, ordered, elapsed)
+    result = CampaignResult(golden, merge(classified, total), elapsed)
     if telemetry.enabled:
         # Merge the per-worker ledger into the session registry: stable
         # worker indices (sorted by pid), throughput, outcome mix.
@@ -307,20 +241,5 @@ def run_parallel(
             ckpt_metrics = telemetry.metrics.namespace("faultsim.checkpoint")
             for key, value in sorted(ckpt_totals.items()):
                 ckpt_metrics.counter(key).inc(value)
-    if track:
-        final = campaign._progress(total, total, elapsed)
-        if on_progress is not None:
-            on_progress(final)
-        if telemetry.enabled:
-            metrics.gauge("mutants_per_second").set(result.mutants_per_second)
-            events.emit(
-                "campaign.finished",
-                total=total,
-                counts=result.counts,
-                elapsed_seconds=round(elapsed, 3),
-                mutants_per_second=round(result.mutants_per_second, 2),
-                normal_termination_fraction=round(
-                    result.normal_termination_fraction, 4),
-                jobs=jobs,
-            )
+    campaign._finish(result, on_progress, jobs=jobs)
     return result

@@ -11,12 +11,13 @@ seed, iterations)``: all randomness flows through one seeded PRNG, and
 mutants are drawn in fixed-size batches *before* any of the batch's
 results are folded back into the corpus.  Executions are independent
 (the evaluator restores a pristine snapshot between runs), so a batch
-can be executed sequentially or fanned out to a spawn-safe worker pool
-— the same pattern as :mod:`repro.faultsim.parallel` — and the corpus
-trajectory is bit-identical either way: same ``seed`` ⇒ same final
-corpus signatures for any ``jobs``.  (A wall-clock ``time_budget`` stops
-between batches and therefore trades this invariance for bounded
-runtime — iteration-bounded runs are the reproducible ones.)
+can be executed sequentially or fanned out to
+:class:`repro.pool.Workers` (two chunks per worker per batch, merged
+back into submission order) and the corpus trajectory is bit-identical
+either way: same ``seed`` ⇒ same final corpus signatures for any
+``jobs``.  (A wall-clock ``time_budget`` stops between batches and
+therefore trades this invariance for bounded runtime — iteration-bounded
+runs are the reproducible ones.)
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..coverage.report import empty_report
 from ..isa.decoder import Decoder, IsaConfig, RV32IMC_ZICSR
+from ..pool import Workers, merge, ranges, resolve_jobs
 from ..telemetry.session import resolve as _resolve_telemetry
 from ..vp.backends import DEFAULT_BACKEND
 from .corpus import Corpus, CorpusEntry
@@ -59,7 +60,7 @@ class FuzzConfig:
 
     iterations: int = 2000          # mutant executions (seeds/minimize extra)
     seed: int = 0                   # master PRNG seed
-    jobs: int = 1                   # worker processes (0 = auto, 1 = inline)
+    jobs: int = 1                   # worker processes (0 = all CPUs)
     batch_size: int = 32            # mutants drawn before results fold back
     max_instructions: int = 5000    # per-execution budget (exhaustion = hang)
     max_body_words: int = MAX_BODY_WORDS
@@ -112,7 +113,7 @@ def suite_seeds(isa: IsaConfig = RV32IMC_ZICSR, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# Worker pool (spawn-safe, same pattern as faultsim.parallel)
+# Worker state
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -123,36 +124,15 @@ class FuzzSpec:
     max_instructions: int
     backend: str = DEFAULT_BACKEND
 
-
-_WORKER_EVALUATOR: Optional[ProgramEvaluator] = None
-
-
-def _worker_init(spec: FuzzSpec) -> None:
-    global _WORKER_EVALUATOR
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
-
-    _WORKER_EVALUATOR = ProgramEvaluator(
-        IsaConfig.from_string(spec.isa_name),
-        max_instructions=spec.max_instructions,
-        backend=spec.backend,
-    )
+    def build(self) -> ProgramEvaluator:
+        return ProgramEvaluator(IsaConfig.from_string(self.isa_name),
+                                max_instructions=self.max_instructions,
+                                backend=self.backend)
 
 
-def _eval_chunk(job: Tuple[Tuple[int, ...], List[Tuple[int, ...]]]
-                ) -> Tuple[Tuple[int, ...], List[EvalResult]]:
-    indices, inputs = job
-    return indices, [_WORKER_EVALUATOR.evaluate(words) for words in inputs]
-
-
-def _make_pool(jobs: int, spec: FuzzSpec):
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("fork")
-    else:
-        ctx = multiprocessing.get_context()
-    return ctx.Pool(processes=jobs, initializer=_worker_init,
-                    initargs=(spec,))
+def _evaluate(evaluator: ProgramEvaluator,
+              inputs: List[Tuple[int, ...]]) -> List[EvalResult]:
+    return [evaluator.evaluate(words) for words in inputs]
 
 
 # ----------------------------------------------------------------------
@@ -271,45 +251,24 @@ class FuzzEngine:
         """
         if self._pool is None or len(batch) <= 1:
             return [self._evaluate_one(words) for words in batch]
-        jobs = self._jobs
-        size = max(1, -(-len(batch) // (jobs * 2)))
-        chunks = [
-            (tuple(range(start, min(start + size, len(batch)))),
-             batch[start:start + size])
-            for start in range(0, len(batch), size)
-        ]
-        ordered: List[Optional[EvalResult]] = [None] * len(batch)
-        for indices, results in self._pool.imap_unordered(_eval_chunk,
-                                                          chunks):
-            for index, result in zip(indices, results):
-                ordered[index] = result
+        chunks = [(tuple(range(lo, hi)), batch[lo:hi])
+                  for lo, hi in ranges(len(batch), self._jobs * 2)]
+        parts = self._pool.map(_evaluate, chunks)
         self.executions += len(batch)
-        return ordered  # type: ignore[return-value]
+        return merge((index, result) for indices, results, _, _ in parts
+                     for index, result in zip(indices, results))
 
-    def _start_pool(self) -> None:
-        jobs = self.config.jobs
-        if jobs <= 0:
-            import os
-            jobs = os.cpu_count() or 1
-        self._jobs = max(1, jobs)
-        if self._jobs == 1:
-            return
-        spec = FuzzSpec(isa_name=self.isa.name,
-                        max_instructions=self.config.max_instructions,
-                        backend=self.config.backend)
-        try:
-            self._pool = _make_pool(self._jobs, spec)
-        except (OSError, ImportError, ValueError, RuntimeError) as exc:
-            warnings.warn(
-                f"could not start {self._jobs} fuzz workers ({exc}); "
-                "continuing single-process", RuntimeWarning, stacklevel=2)
-            self._jobs = 1
-            self._pool = None
+    def _start_workers(self) -> None:
+        self._jobs = resolve_jobs(self.config.jobs)
+        if self._jobs > 1:
+            self._pool = Workers(self._jobs, FuzzSpec(
+                isa_name=self.isa.name,
+                max_instructions=self.config.max_instructions,
+                backend=self.config.backend))
 
-    def _stop_pool(self) -> None:
+    def _stop_workers(self) -> None:
         if self._pool is not None:
             self._pool.close()
-            self._pool.join()
             self._pool = None
 
     # -- corpus admission --------------------------------------------------
@@ -401,7 +360,7 @@ class FuzzEngine:
         started = time.perf_counter()
         deadline = (started + config.time_budget
                     if config.time_budget is not None else None)
-        self._start_pool()
+        self._start_workers()
         if self.telemetry.enabled:
             self.telemetry.events.emit(
                 "fuzz.started", isa=self.isa.name, seed=config.seed,
@@ -441,7 +400,7 @@ class FuzzEngine:
                         on_progress(progress)
                     last_report = now
         finally:
-            self._stop_pool()
+            self._stop_workers()
         elapsed = time.perf_counter() - started
         return self._finish(elapsed, on_progress)
 

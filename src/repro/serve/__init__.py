@@ -11,7 +11,7 @@ a submittable **job** executed by a long-lived process:
 * :mod:`repro.serve.executors` — the job-kind registry mapping JSON
   payloads onto the existing library entry points,
 * :mod:`repro.serve.service` — the scheduler + persistent worker pool
-  (threads by default, spawn-safe worker processes on request),
+  (threads by default, :mod:`repro.pool` worker processes on request),
 * :mod:`repro.serve.api` — a stdlib HTTP/JSON front end
   (``python -m repro serve``),
 * :mod:`repro.serve.client` — a thin :mod:`urllib`-based client used by
@@ -42,7 +42,7 @@ from .jobs import (
     STATE_TIMEOUT,
 )
 from .queue import AdmissionQueue, QueueClosed, QueueFull
-from .service import BatchService, ServiceClosed, resolve_workers
+from .service import BatchService, ServiceClosed
 
 __all__ = [
     "AdmissionQueue",
@@ -67,5 +67,4 @@ __all__ = [
     "execute_job",
     "job_kinds",
     "register_executor",
-    "resolve_workers",
 ]

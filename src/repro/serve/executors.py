@@ -38,8 +38,9 @@ run.  Third-party code registers new kinds with
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
+from ..pool import shard_bounds
 from .jobs import JobContext, null_context
 
 __all__ = [
@@ -264,22 +265,6 @@ def campaign_result_dict(golden_dict: Dict[str, Any],
     }
 
 
-def shard_bounds(total: int, shard_count: int, shard_index: int
-                 ) -> "Tuple[int, int]":
-    """The ``[lo, hi)`` slice of ``total`` items shard ``shard_index``
-    of ``shard_count`` owns — contiguous, balanced, and a pure function
-    of its arguments (never of cluster shape or arrival order)."""
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(f"shard_index {shard_index} out of range for "
-                         f"{shard_count} shards")
-    base, extra = divmod(total, shard_count)
-    lo = shard_index * base + min(shard_index, extra)
-    hi = lo + base + (1 if shard_index < extra else 0)
-    return lo, hi
-
-
 @register_executor("fault_campaign")
 def run_fault_campaign_job(payload: Dict[str, Any],
                            ctx: JobContext) -> Dict[str, Any]:
@@ -408,26 +393,20 @@ def run_fuzz_job(payload: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
 #: lock — two worker nodes hosted in one process (tests, `repro node
 #: --capacity`) must serialize on it or their interleaved execution
 #: corrupts both results.
-_FUZZ_EVALUATORS: Dict[Tuple[str, int, str], Any] = {}
+_FUZZ_EVALUATORS: Dict[Any, Any] = {}
 _FUZZ_EVALUATOR_CACHE_MAX = 4
 _FUZZ_EVALUATOR_GUARD = threading.Lock()
 
 
-def _fuzz_evaluator_for(isa_name: str, max_instructions: int, backend: str):
-    from ..fuzz import ProgramEvaluator
-    from ..isa.decoder import IsaConfig
-
-    key = (isa_name, max_instructions, backend)
+def _fuzz_evaluator_for(spec):
+    """The cached ``(spec.build(), lock)`` pair for a ``FuzzSpec``."""
     with _FUZZ_EVALUATOR_GUARD:
-        entry = _FUZZ_EVALUATORS.get(key)
+        entry = _FUZZ_EVALUATORS.get(spec)
         if entry is None:
             if len(_FUZZ_EVALUATORS) >= _FUZZ_EVALUATOR_CACHE_MAX:
                 _FUZZ_EVALUATORS.clear()
-            entry = (ProgramEvaluator(
-                IsaConfig.from_string(isa_name),
-                max_instructions=max_instructions, backend=backend),
-                threading.Lock())
-            _FUZZ_EVALUATORS[key] = entry
+            entry = (spec.build(), threading.Lock())
+            _FUZZ_EVALUATORS[spec] = entry
     return entry
 
 
@@ -450,15 +429,16 @@ def run_fuzz_eval(payload: Dict[str, Any], ctx: JobContext) -> Dict[str, Any]:
             for words in inputs):
         raise ExecutorError("payload field 'inputs' must be a non-empty "
                             "list of instruction-word lists")
-    isa_name = payload.get("isa", "rv32imc_zicsr")
-    max_instructions = _int_field(payload, "max_instructions", 5000,
-                                  minimum=1)
-    backend = _backend_field(payload)
+    from ..fuzz.engine import FuzzSpec
+
+    spec = FuzzSpec(isa_name=payload.get("isa", "rv32imc_zicsr"),
+                    max_instructions=_int_field(payload, "max_instructions",
+                                                5000, minimum=1),
+                    backend=_backend_field(payload))
     import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
 
     try:
-        evaluator, guard = _fuzz_evaluator_for(isa_name, max_instructions,
-                                               backend)
+        evaluator, guard = _fuzz_evaluator_for(spec)
     except Exception as exc:
         raise ExecutorError(f"cannot build evaluator: {exc}") from exc
     results = []

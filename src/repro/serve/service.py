@@ -10,10 +10,9 @@
   right up to the moment of dispatch);
 * the **worker pool** — persistent worker threads that execute jobs via
   :func:`repro.serve.executors.execute_job`.  With ``mode="process"``
-  each execution is proxied to a long-lived ``multiprocessing`` pool
-  whose workers are seeded spawn-safely (plain JSON payloads, an
-  initializer that registers optional ISA modules) exactly like the
-  fault-campaign engine in :mod:`repro.faultsim.parallel`.
+  each execution is proxied, as a one-chunk map polled for
+  cancel/timeout, to long-lived :class:`repro.pool.Workers` processes
+  (plain JSON payloads, the same worker start as every campaign pool).
 
 Telemetry lands in the shared registry under ``serve.*``: queue-depth /
 running gauges, submitted/rejected/completed counters, queue-wait and
@@ -29,6 +28,7 @@ import time
 from typing import Any, Dict, List, Optional
 from queue import SimpleQueue
 
+from ..pool import Workers, resolve_jobs
 from ..telemetry.session import resolve as _resolve_telemetry
 from .executors import (ExecutorError, _EXECUTORS, execute_job,
                         execute_job_traced)
@@ -36,28 +36,17 @@ from .jobs import (FINAL_STATES, Job, JobCancelled, JobContext, JobSpec,
                    JobTimeout, STATES, STATE_PENDING, STATE_RUNNING)
 from .queue import AdmissionQueue, QueueClosed, QueueFull
 
-__all__ = ["BatchService", "ServiceClosed", "resolve_workers"]
+__all__ = ["BatchService", "ServiceClosed"]
 
 
 class ServiceClosed(Exception):
     """Submission rejected: the service is shutting down."""
 
 
-def resolve_workers(workers: Optional[int]) -> int:
-    """Resolve a worker-count flag: ``0``/``None`` auto-detects CPUs."""
-    import os
-
-    if workers is None or workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers
-
-
-def _pool_init() -> None:
-    """Process-pool initializer — the same spawn-safe seeding as
-    :func:`repro.faultsim.parallel._worker_init`."""
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
+def _apply(state, call) -> Any:
+    """Run one ``(function, args)`` job execution in a worker process."""
+    function, args = call
+    return function(*args)
 
 
 def _trace_fields(trace: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -83,7 +72,7 @@ class BatchService:
                  mode: str = "thread", telemetry=None) -> None:
         if mode not in ("thread", "process"):
             raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
-        self.workers = resolve_workers(workers)
+        self.workers = resolve_jobs(workers or 0)
         self.mode = mode
         self.queue = AdmissionQueue(queue_limit)
         self.jobs: Dict[str, Job] = {}
@@ -119,7 +108,7 @@ class BatchService:
         self._started = True
         self._accepting = True
         if self.mode == "process":
-            self._pool = self._start_pool()
+            self._pool = Workers(self.workers)
         self._metrics.gauge("workers").set(self.workers)
         if self.telemetry.enabled:
             self.telemetry.events.emit(
@@ -137,15 +126,6 @@ class BatchService:
                                            daemon=True)
         self._scheduler.start()
         return self
-
-    def _start_pool(self):
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        else:
-            ctx = multiprocessing.get_context()
-        return ctx.Pool(processes=self.workers, initializer=_pool_init)
 
     def __enter__(self) -> "BatchService":
         if not self._started:
@@ -184,7 +164,6 @@ class BatchService:
             thread.join(timeout)
         if self._pool is not None:
             self._pool.close()
-            self._pool.join()
             self._pool = None
         if self.telemetry.enabled:
             self.telemetry.events.emit("serve.stopped",
@@ -339,10 +318,9 @@ class BatchService:
             with span:
                 if exec_trace is not None:
                     result = self._execute_traced(job, ctx, exec_trace)
-                elif self.mode == "process":
-                    result = self._execute_remote(job, ctx)
                 else:
-                    result = execute_job(job.spec.kind, job.spec.payload, ctx)
+                    result = self._call(ctx, execute_job, job.spec.kind,
+                                        job.spec.payload)
         except JobCancelled:
             job.mark_cancelled("cancelled while running")
         except JobTimeout:
@@ -394,22 +372,19 @@ class BatchService:
             with self._idle:
                 self._idle.notify_all()
 
-    def _execute_remote(self, job: Job, ctx: JobContext) -> Dict[str, Any]:
-        """Proxy one execution to the persistent process pool.
+    def _call(self, ctx: JobContext, function, *args) -> Any:
+        """Run ``function(*args, ctx)`` here, or in process mode as
+        ``function(*args)`` on the persistent process pool.
 
         The parent polls so cooperative cancel/timeout still resolve the
         job promptly; the worker process finishes its (budget-bounded)
         task in the background and stays warm for the next job.
         """
-        from multiprocessing import TimeoutError as PoolTimeout
-
-        handle = self._pool.apply_async(
-            execute_job, (job.spec.kind, job.spec.payload))
-        while True:
-            try:
-                return handle.get(timeout=0.1)
-            except PoolTimeout:
-                ctx.check()
+        if self._pool is None:
+            return function(*args, ctx)
+        [(_, result, _, _)] = self._pool.map(
+            _apply, [((0,), (function, args))], poll=ctx.check)
+        return result
 
     # -- trace propagation ----------------------------------------------
 
@@ -440,28 +415,14 @@ class BatchService:
 
         Thread mode runs :func:`execute_job_traced` in-process (a
         thread-local telemetry session isolates the job's events from
-        sibling workers); process mode ships it to the pool and polls,
-        exactly like :meth:`_execute_remote`.  Either way the worker's
+        sibling workers); process mode ships it to the pool and polls
+        (:meth:`_call`).  Either way the worker's
         events come back with their own monotonic origin and are rebased
         onto this service's event log before merging.
         """
         run_ctx = exec_trace.child()
-        if self.mode == "process" and self._pool is not None:
-            from multiprocessing import TimeoutError as PoolTimeout
-
-            handle = self._pool.apply_async(
-                execute_job_traced,
-                (job.spec.kind, job.spec.payload, run_ctx.to_dict(),
-                 job.id))
-            while True:
-                try:
-                    bundle = handle.get(timeout=0.1)
-                    break
-                except PoolTimeout:
-                    ctx.check()
-        else:
-            bundle = execute_job_traced(job.spec.kind, job.spec.payload,
-                                        run_ctx.to_dict(), job.id, ctx)
+        bundle = self._call(ctx, execute_job_traced, job.spec.kind,
+                            job.spec.payload, run_ctx.to_dict(), job.id)
         self._merge_worker_events(job, bundle)
         return bundle["result"]
 

@@ -12,9 +12,10 @@ preserved (:mod:`repro.verify.escalate`).
 Determinism contract: a campaign is a pure function of ``(isa, config)``
 — the corpus is seeded, the matrix parse is pure, per-program results
 are independent, and escalation is deterministic — so ``jobs=N`` local
-pools, the ``verify`` service kind, and cluster ``verify_shard`` ranges
-all reproduce the single-process report byte-for-byte (wall-clock
-``elapsed_seconds`` aside).
+pools (one contiguous program range per worker on
+:class:`repro.pool.Workers`), the ``verify`` service kind, and cluster
+``verify_shard`` ranges all reproduce the single-process report
+byte-for-byte (wall-clock ``elapsed_seconds`` aside).
 
 Corpus sources (``config.corpus``):
 
@@ -44,6 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..fuzz.executor import ProgramBuilder, words_from_program
 from ..isa.decoder import IsaConfig
 from ..isa.encoder import encode
+from ..pool import Workers, merge, ranges, resolve_jobs
+from ..telemetry.session import NULL_TELEMETRY
 from ..vp.cpu import STOP_MAX_INSNS
 from ..vp.machine import Machine
 from .digest import StateDigest, capture_state, compare_digests
@@ -72,7 +75,7 @@ class VerifyCampaignConfig:
     repeats: int = 4                # repeat-loop iterations per program
     checkpoint_split: int = 200     # ckpt-resume: snapshot after N insns
     minimize_evals: int = 24        # lockstep re-runs per minimization
-    jobs: int = 1                   # worker processes (0 = auto, 1 = inline)
+    jobs: int = 1                   # worker processes (0 = all CPUs)
 
 
 class RepeatBuilder(ProgramBuilder):
@@ -266,23 +269,27 @@ class VerifyResult:
 
 
 # ----------------------------------------------------------------------
-# Worker pool (spawn-safe, same pattern as fuzz/faultsim)
+# Worker state
 # ----------------------------------------------------------------------
 
-_WORKER_CAMPAIGN: Optional["DiffCampaign"] = None
+@dataclass(frozen=True)
+class VerifySpec:
+    """Everything a worker needs to rebuild the campaign — picklable."""
+
+    isa_name: str
+    config: VerifyCampaignConfig
+
+    def build(self) -> "DiffCampaign":
+        # Counters stay off in workers: the parent counts the merged
+        # ranges, so pooled and inline runs report the same totals.
+        return DiffCampaign(IsaConfig.from_string(self.isa_name),
+                            replace(self.config, jobs=1),
+                            telemetry=NULL_TELEMETRY)
 
 
-def _worker_init(isa_name: str, config: VerifyCampaignConfig) -> None:
-    global _WORKER_CAMPAIGN
-    import repro.bmi  # noqa: F401 — register optional ISA modules (Zbb)
-
-    _WORKER_CAMPAIGN = DiffCampaign(IsaConfig.from_string(isa_name),
-                                    replace(config, jobs=1))
-
-
-def _worker_range(bounds: Tuple[int, int]) -> List[Dict[str, object]]:
-    lo, hi = bounds
-    return _WORKER_CAMPAIGN.run_range(lo, hi)
+def _verify_range(campaign: "DiffCampaign", bounds: Tuple[int, int]
+                  ) -> List[Dict[str, object]]:
+    return campaign.run_range(*bounds)
 
 
 # ----------------------------------------------------------------------
@@ -410,9 +417,10 @@ class DiffCampaign:
     def run(self,
             on_progress: Optional[Callable[[int], None]] = None,
             progress_interval: float = 0.2) -> VerifyResult:
-        """Run the full campaign; ``jobs>1`` fans program ranges out to
-        spawn-started worker processes (byte-identical results)."""
+        """Run the full campaign; ``jobs>1`` fans contiguous program
+        ranges out to worker processes (byte-identical results)."""
         started = time.perf_counter()
+        jobs = resolve_jobs(self.config.jobs)
         meta = self.meta()
         # Touch every campaign counter up front so a clean run still
         # exposes the full verify.* series (zeroes) on /metrics.
@@ -425,25 +433,20 @@ class DiffCampaign:
                 matrix=self.matrix.spec, seed=self.config.seed,
                 programs=meta["programs"], pairs=len(self.matrix.pairs))
         total = meta["programs"]
-        jobs = self.config.jobs
-        if jobs == 0:
-            import os
+        last = [started]
 
-            jobs = os.cpu_count() or 1
-        jobs = max(1, min(jobs, total)) if total else 1
-        if jobs > 1:
-            escalations = self._run_pooled(jobs, total)
+        def tick(done: int) -> None:
+            if on_progress is None:
+                return
+            now = time.perf_counter()
+            if now - last[0] >= progress_interval:
+                last[0] = now
+                on_progress(done)
+
+        bounds = ranges(total, jobs)
+        if len(bounds) > 1:
+            escalations = self._run_workers(bounds, tick)
         else:
-            last = [started]
-
-            def tick(done: int) -> None:
-                if on_progress is None:
-                    return
-                now = time.perf_counter()
-                if now - last[0] >= progress_interval:
-                    last[0] = now
-                    on_progress(done)
-
             escalations = self.run_range(0, total, on_progress=tick)
         elapsed = time.perf_counter() - started
         result = VerifyResult(meta=meta, escalations=escalations,
@@ -459,34 +462,32 @@ class DiffCampaign:
                 elapsed_seconds=round(elapsed, 6))
         return result
 
-    def _run_pooled(self, jobs: int, total: int
-                    ) -> List[Dict[str, object]]:
-        """Contiguous index ranges over a worker pool, merged in order.
+    def _run_workers(self, bounds: List[Tuple[int, int]],
+                     tick: Callable[[int], None]
+                     ) -> List[Dict[str, object]]:
+        """One contiguous range per worker process, merged in order.
 
-        ``fork`` where offered (cheap, like the fuzz/faultsim pools),
-        the platform default elsewhere — the worker state is fully
-        picklable either way.  Falls back to inline execution when
-        workers cannot start (some sandboxes); the result is identical
-        because ranges are independent and merged by range order.
+        ``tick`` (the job's progress/cancel check) runs while the
+        parent waits; the merged ranges feed the ``verify.*`` counters
+        the workers leave untouched.
         """
-        import multiprocessing
-
-        from ..serve.executors import shard_bounds
-
-        bounds = [shard_bounds(total, jobs, index) for index in range(jobs)]
-        bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-        try:
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            else:
-                context = multiprocessing.get_context()
-            with context.Pool(
-                    processes=len(bounds), initializer=_worker_init,
-                    initargs=(self.isa.name, self.config)) as pool:
-                chunks = pool.map(_worker_range, bounds)
-        except (OSError, ValueError, ImportError, RuntimeError):
-            chunks = [self.run_range(lo, hi) for lo, hi in bounds]
-        escalations: List[Dict[str, object]] = []
-        for chunk in chunks:
-            escalations.extend(chunk)
+        done = [0]
+        parts = []
+        with Workers(len(bounds), VerifySpec(self.isa.name,
+                                             self.config)) as workers:
+            for (index,), found, _, _ in workers.map(
+                    _verify_range, [((index,), bound) for index, bound
+                                    in enumerate(bounds)],
+                    poll=lambda: tick(done[0])):
+                lo, hi = bounds[index]
+                done[0] += hi - lo
+                parts.append((index, found))
+        escalations = [record for found in merge(parts, len(bounds))
+                       for record in found]
+        programs = bounds[-1][1] - bounds[0][0]
+        self._metrics.counter("programs").inc(programs)
+        self._metrics.counter("comparisons").inc(
+            programs * len(self.matrix.pairs))
+        self._metrics.counter("divergences").inc(len(escalations))
+        self._metrics.counter("escalations").inc(len(escalations))
         return escalations

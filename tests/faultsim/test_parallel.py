@@ -17,6 +17,7 @@ from repro.faultsim import (
     generate_mutants,
     run_parallel,
 )
+from repro import pool as pool_mod
 from repro.faultsim import parallel as parallel_mod
 from repro.isa import RV32IMC_ZICSR
 from repro.telemetry import Telemetry, telemetry_session
@@ -81,18 +82,19 @@ class TestDeterminism:
             assert parallel.golden == baseline.golden
             assert parallel.counts == baseline.counts
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         campaign = make_campaign()
         faults = seeded_faults(campaign, mutants=20)
         baseline = campaign.run(faults)
-        tiny = make_campaign().run(faults, jobs=2, chunk_size=1)
+        monkeypatch.setattr(parallel_mod, "MAX_CHUNK", 1)
+        tiny = make_campaign().run(faults, jobs=2)
         assert outcomes(tiny) == outcomes(baseline)
 
     def test_jobs_one_uses_sequential_path(self, monkeypatch):
         campaign = make_campaign()
         faults = seeded_faults(campaign, mutants=10)
         monkeypatch.setattr(
-            parallel_mod, "_make_pool",
+            pool_mod, "start_pool",
             lambda *a, **k: pytest.fail("jobs=1 must not build a pool"))
         result = campaign.run(faults, jobs=1)
         assert result.total == len(faults)
@@ -107,7 +109,7 @@ class TestFallback:
         def broken_pool(jobs, spec):
             raise OSError("no fork for you")
 
-        monkeypatch.setattr(parallel_mod, "_make_pool", broken_pool)
+        monkeypatch.setattr(pool_mod, "start_pool", broken_pool)
         with pytest.warns(RuntimeWarning, match="falling back"):
             result = campaign.run(faults, jobs=4)
         assert outcomes(result) == outcomes(baseline)
@@ -121,7 +123,7 @@ class TestFallback:
         campaign = make_campaign()
         faults = seeded_faults(campaign, mutants=10)[:1]
         monkeypatch.setattr(
-            parallel_mod, "_make_pool",
+            pool_mod, "start_pool",
             lambda *a, **k: pytest.fail("one mutant must not build a pool"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -141,13 +143,8 @@ class TestSpec:
     def test_worker_reuses_parent_golden(self):
         campaign = make_campaign()
         spec = parallel_mod._spec_for(campaign)
-        parallel_mod._worker_init(spec)
-        try:
-            worker = parallel_mod._WORKER_CAMPAIGN
-            assert worker is not None
-            assert worker.golden() == campaign.golden()
-        finally:
-            parallel_mod._WORKER_CAMPAIGN = None
+        worker = spec.build()
+        assert worker.golden() == campaign.golden()
 
 
 class TestChunking:

@@ -12,8 +12,8 @@ from repro.serve import (
     QueueFull,
     ServiceClosed,
     register_executor,
-    resolve_workers,
 )
+from repro.pool import resolve_jobs
 from repro.serve.executors import _EXECUTORS
 
 EXIT_OK = """
@@ -48,15 +48,15 @@ class TestResolveWorkers:
     def test_zero_and_none_autodetect(self):
         import os
         expected = os.cpu_count() or 1
-        assert resolve_workers(0) == expected
-        assert resolve_workers(None) == expected
+        assert resolve_jobs(0) == expected
+        assert BatchService(workers=None).workers == expected
 
     def test_explicit_count(self):
-        assert resolve_workers(3) == 3
+        assert resolve_jobs(3) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            resolve_workers(-1)
+            resolve_jobs(-1)
 
 
 class TestExecution:

@@ -2,10 +2,13 @@
 and the determinism contract (pool == inline)."""
 
 import json
+import os
 
 import pytest
 
+from repro import pool
 from repro.isa import RV32IMC_ZICSR
+from repro.telemetry import Telemetry, telemetry_session
 from repro.verify import (DiffCampaign, RepeatBuilder, VerifyCampaignConfig,
                           build_corpus, corpus_size_hint)
 
@@ -131,6 +134,59 @@ class TestCampaignRuns:
             RV32IMC_ZICSR,
             VerifyCampaignConfig(**{**config.__dict__, "jobs": 2})).run()
         assert canon(inline.to_dict()) == canon(pooled.to_dict())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pooled_counters_match_inline(self, jobs):
+        config = VerifyCampaignConfig(corpus="fuzz:6",
+                                      matrix="interp:nocache",
+                                      max_instructions=2000)
+
+        def counters(run_config):
+            names = ("programs", "comparisons", "divergences",
+                     "escalations")
+            with telemetry_session(Telemetry()) as session:
+                DiffCampaign(RV32IMC_ZICSR, run_config).run()
+                snapshot = session.metrics.to_dict()
+            return {name: snapshot[f"verify.{name}"]["value"]
+                    for name in names}
+
+        inline = counters(config)
+        assert inline["programs"] == 6 and inline["comparisons"] == 6
+        assert counters(VerifyCampaignConfig(
+            **{**config.__dict__, "jobs": jobs})) == inline
+
+    def test_worker_error_propagates_without_inline_rerun(self,
+                                                          monkeypatch):
+        parent = os.getpid()
+        inline_ranges = []
+
+        def broken(self, lo, hi, on_progress=None):
+            if os.getpid() == parent:
+                inline_ranges.append((lo, hi))
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(DiffCampaign, "run_range", broken)
+        config = VerifyCampaignConfig(corpus="torture:4",
+                                      matrix="interp:nocache",
+                                      max_instructions=2000, jobs=2)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            DiffCampaign(RV32IMC_ZICSR, config).run()
+        assert inline_ranges == []
+
+    def test_pool_start_failure_warns_and_falls_back(self, monkeypatch):
+        config = VerifyCampaignConfig(corpus="torture:4",
+                                      matrix="interp:nocache",
+                                      max_instructions=2000)
+        inline = DiffCampaign(RV32IMC_ZICSR, config).run()
+
+        def broken(jobs, spec=None):
+            raise OSError("no processes here")
+
+        monkeypatch.setattr(pool, "start_pool", broken)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            pooled = DiffCampaign(RV32IMC_ZICSR, VerifyCampaignConfig(
+                **{**config.__dict__, "jobs": 2})).run()
+        assert canon(pooled.to_dict()) == canon(inline.to_dict())
 
     def test_table_renders(self):
         result = DiffCampaign(RV32IMC_ZICSR, VerifyCampaignConfig(

@@ -2,6 +2,7 @@
 the client-side job-kind validation."""
 
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,26 @@ class TestVerifyExecutor:
             execute_job("verify_shard",
                         {**PAYLOAD, "shard_count": 2, "shard_index": 2},
                         null_context())
+
+
+class TestPooledJobCancel:
+    def test_cancel_stops_pooled_verify_job(self):
+        from repro.serve import BatchService, JobSpec
+
+        service = BatchService(workers=1, mode="thread").start()
+        try:
+            job = service.submit(JobSpec(kind="verify", payload={
+                "corpus": "fuzz:60", "matrix": "interp:nocache",
+                "jobs": 2}))
+            deadline = time.monotonic() + 30
+            while job.state == "pending" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)
+            service.cancel(job.id)
+            assert job.wait(30)
+            assert job.state == "cancelled"
+        finally:
+            service.shutdown(drain=False)
 
 
 class TestShardMergeParity:
