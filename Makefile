@@ -27,13 +27,17 @@ bench-smoke:
 # Same-host benchmark smoke: every perfbench workload for 3 s, each under
 # a hard timeout.  perfbench exits non-zero on any failed output check
 # (cross-backend RunResult/UART/dirty-page equality, JIT and trace
-# engagement, zero verify escalations).
+# engagement, zero verify escalations).  A traced campaigns pass adds
+# the pooled-versus-inline fuzz and verify checks.
 perfbench-smoke:
 	@for workload in guest-loops campaigns served-jobs; do \
 		echo "=== perfbench $$workload ==="; \
 		timeout 120 $(PYTHON) perfbench/run.py --workload $$workload \
 			--seed 1 --seconds 3 --trace 0 || exit 1; \
 	done
+	@echo "=== perfbench campaigns (traced) ==="
+	timeout 120 $(PYTHON) perfbench/run.py --workload campaigns \
+		--seed 1 --seconds 3 --trace 1
 
 # Bounded fuzzing smoke: coverage growth + triage parse + determinism.
 fuzz-smoke:

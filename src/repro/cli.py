@@ -259,14 +259,15 @@ def cmd_fuzz(args) -> int:
     profiler = None
     if args.profile_out:
         # Samples the in-process evaluator machine; with --jobs > 1 the
-        # worker processes' share of executions is not attributed.
+        # worker processes run the batches and minimizations, so almost
+        # nothing is attributed.
         from .observe import SamplingProfiler
 
         profiler = engine.evaluator.machine.add_plugin(SamplingProfiler())
         if args.jobs != 1:
             print("note: --profile-out samples the in-process evaluator "
-                  "only; use --jobs 1 for complete attribution",
-                  file=sys.stderr)
+                  "only, and worker processes run nearly every input; use "
+                  "--jobs 1 to profile", file=sys.stderr)
     if args.seeds == "trivial":
         seeds = trivial_seed(isa)
     else:

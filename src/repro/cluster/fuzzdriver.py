@@ -14,11 +14,14 @@ the batch to the cluster as ``fuzz_eval`` work items, one per non-empty
 
 Determinism contract: the corpus trajectory is a pure function of
 ``(seeds, seed, iterations)`` exactly as in-process, because the only
-thing that changed is *where* the pure evaluations ran.  Minimization
-and the lockstep oracle evaluate single inputs on the coordinator's own
-evaluator — deterministic, so identical to node-side evaluation, and
-free of per-input network round trips.  ``FuzzResult.jobs`` stays 1 so
-the result envelope matches a ``jobs=1`` single-process run.
+thing that changed is *where* the pure evaluations ran.  The engine
+has no local pool here, so its batch fold minimizes each admitted input
+with the same :func:`repro.fuzz.engine._minimize` the local pool maps
+over its workers, called in a loop on the coordinator's own evaluator;
+the lockstep oracle also runs there.  Both are deterministic, so
+identical to node-side evaluation, and free of per-input network round
+trips.  ``FuzzResult.jobs`` stays 1 so the result envelope matches a
+``jobs=1`` single-process run.
 """
 
 from __future__ import annotations
@@ -54,10 +57,9 @@ class DistributedFuzzEngine(FuzzEngine):
     def _evaluate_batch(self, batch: List[Tuple[int, ...]]
                         ) -> List[EvalResult]:
         if len(batch) <= 1:
-            # Single evaluations (and 1-input batches) run locally —
-            # deterministic, so identical to a node-side run, without a
-            # network round trip.
-            return [self._evaluate_one(words) for words in batch]
+            # A 1-input batch runs locally — deterministic, so identical
+            # to a node-side run, without a network round trip.
+            return super()._evaluate_batch(batch)
         results = self._evaluate_remote(list(batch))
         if len(results) != len(batch):
             raise RuntimeError(

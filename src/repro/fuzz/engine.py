@@ -13,8 +13,11 @@ results are folded back into the corpus.  Executions are independent
 (the evaluator restores a pristine snapshot between runs), so a batch
 can be executed sequentially or fanned out to
 :class:`repro.pool.Workers` (two chunks per worker per batch, merged
-back into submission order) and the corpus trajectory is bit-identical
-either way: same ``seed`` ⇒ same final corpus signatures for any
+back into submission order).  The batch's results then fold back in
+three steps: observe and triage in order, minimize every newly admitted
+input (one input per pool chunk, so idle workers take the next one), and
+admit the minimized inputs in order.  The corpus trajectory is
+bit-identical either way: same ``seed`` ⇒ same final corpus for any
 ``jobs``.  (A wall-clock ``time_budget`` stops between batches and
 therefore trades this invariance for bounded runtime — iteration-bounded
 runs are the reproducible ones.)
@@ -135,6 +138,42 @@ def _evaluate(evaluator: ProgramEvaluator,
     return [evaluator.evaluate(words) for words in inputs]
 
 
+def _minimize(evaluator: ProgramEvaluator, words: Tuple[int, ...],
+              signature: frozenset, instructions: int, budget: int
+              ) -> Tuple[Tuple[int, ...], int, int]:
+    """Greedy chunked trim preserving the exact coverage signature.
+
+    Returns ``(words, instructions, evals)``: the shortest input found
+    within ``budget`` executions, its instruction count, and the
+    executions spent.  A pure function of its arguments, because the
+    evaluator restores a pristine snapshot before every run.
+    """
+    best = list(words)
+    best_insns = instructions
+    evals = 0
+    chunk = max(1, len(best) // 2)
+    while chunk >= 1 and evals < budget:
+        index = 0
+        while index < len(best) and evals < budget and len(best) > 1:
+            candidate = best[:index] + best[index + chunk:]
+            if not candidate:
+                break
+            result = evaluator.evaluate(candidate)
+            evals += 1
+            if result.signature == signature:
+                best = candidate
+                best_insns = result.instructions
+            else:
+                index += chunk
+        chunk //= 2
+    return tuple(best), best_insns, evals
+
+
+def _minimize_chunk(evaluator: ProgramEvaluator, item: tuple
+                    ) -> Tuple[Tuple[int, ...], int, int]:
+    return _minimize(evaluator, *item)
+
+
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
@@ -238,10 +277,6 @@ class FuzzEngine:
 
     # -- evaluation --------------------------------------------------------
 
-    def _evaluate_one(self, words: Sequence[int]) -> EvalResult:
-        self.executions += 1
-        return self.evaluator.evaluate(words)
-
     def _evaluate_batch(self, batch: List[Tuple[int, ...]]
                         ) -> List[EvalResult]:
         """Evaluate a batch, in order; uses the pool when available.
@@ -249,12 +284,12 @@ class FuzzEngine:
         Executions are pure, so fan-out changes wall-clock only — results
         are reassembled into submission order before any corpus update.
         """
+        self.executions += len(batch)
         if self._pool is None or len(batch) <= 1:
-            return [self._evaluate_one(words) for words in batch]
+            return _evaluate(self.evaluator, batch)
         chunks = [(tuple(range(lo, hi)), batch[lo:hi])
                   for lo, hi in ranges(len(batch), self._jobs * 2)]
         parts = self._pool.map(_evaluate, chunks)
-        self.executions += len(batch)
         return merge((index, result) for indices, results, _, _ in parts
                      for index, result in zip(indices, results))
 
@@ -271,74 +306,80 @@ class FuzzEngine:
             self._pool.close()
             self._pool = None
 
-    # -- corpus admission --------------------------------------------------
+    # -- batch fold --------------------------------------------------------
 
-    def _minimize(self, words: Tuple[int, ...], signature: frozenset,
-                  instructions: int) -> Tuple[Tuple[int, ...], int]:
-        """Greedy chunked trim preserving the exact coverage signature."""
-        best = list(words)
-        best_insns = instructions
-        budget = self.config.minimize_evals
-        chunk = max(1, len(best) // 2)
-        while chunk >= 1 and budget > 0:
-            index = 0
-            while index < len(best) and budget > 0 and len(best) > 1:
-                candidate = best[:index] + best[index + chunk:]
-                if not candidate:
-                    break
-                result = self._evaluate_one(candidate)
-                budget -= 1
-                if result.signature == signature:
-                    best = candidate
-                    best_insns = result.instructions
-                else:
-                    index += chunk
-            chunk //= 2
-        return tuple(best), best_insns
+    def _fold(self, batch: List[Tuple[int, ...]], results: List[EvalResult],
+              names: Optional[Sequence[str]] = None) -> None:
+        """Fold one evaluated batch into feedback, triage and the corpus.
 
-    def _process(self, words: Tuple[int, ...], result: EvalResult,
-                 name: str = "") -> bool:
-        """Fold one execution's result into feedback/triage/corpus."""
-        new = self.feedback.observe(result.signature)
-        if result.outcome in FINDING_OUTCOMES \
-                and result.outcome != OUTCOME_DIVERGENCE:
-            if self.triage.record(words, result, self.mutant_execs):
-                self.metrics.counter(f"findings.{result.outcome}").inc()
-        if not new:
-            return False
-        admitted_words = words
-        instructions = result.instructions
-        if self.config.minimize and len(words) > 1:
-            admitted_words, instructions = self._minimize(
-                words, result.signature, result.instructions)
-        entry = CorpusEntry(
-            words=admitted_words,
-            signature=result.signature,
-            new_elements=new,
-            instructions=instructions,
-            found_at=self.mutant_execs,
-            name=name,
-        )
-        if not self.corpus.add(entry):
-            return False
-        self.metrics.counter("corpus_adds").inc()
-        if self.config.lockstep:
-            detail = self.evaluator.check_divergence(admitted_words)
-            if detail is not None:
-                if self.triage.record_divergence(
-                        admitted_words, detail, instructions,
-                        self.mutant_execs):
-                    self.metrics.counter("findings.divergence").inc()
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "fuzz.coverage",
-                execs=self.mutant_execs,
-                corpus_size=len(self.corpus),
-                coverage_elements=len(self.feedback),
-                new_elements=len(new),
-                input_words=len(admitted_words),
-            )
-        return True
+        ``names`` marks the seed round: seeds are named and do not count
+        against the iteration budget.  Three steps, so the batch's
+        minimizations can run side by side: (1) in order, observe and
+        triage each result, and build a corpus entry for each input with
+        new coverage, noting the coverage size at that moment; (2)
+        minimize the entries' words (:meth:`_minimize_all`); (3) in
+        order, admit the entries.  The result
+        equals an item-by-item fold: ``observe`` reads only
+        ``feedback.seen``, ``corpus.add`` writes only the entries and
+        ``feedback.corpus_freq``, and each minimization is a pure
+        function of its input.
+        """
+        admitted = []  # (entry, coverage size at its admission)
+        for index, (words, result) in enumerate(zip(batch, results)):
+            if names is None:
+                self.mutant_execs += 1
+            new = self.feedback.observe(result.signature)
+            if result.outcome in FINDING_OUTCOMES \
+                    and result.outcome != OUTCOME_DIVERGENCE:
+                if self.triage.record(words, result, self.mutant_execs):
+                    self.metrics.counter(f"findings.{result.outcome}").inc()
+            if new:
+                entry = CorpusEntry(
+                    words=words, signature=result.signature,
+                    new_elements=new, instructions=result.instructions,
+                    found_at=self.mutant_execs,
+                    name=names[index] if names else "")
+                admitted.append((entry, len(self.feedback)))
+        trim = [entry for entry, _ in admitted
+                if self.config.minimize and len(entry.words) > 1]
+        for entry, (words, instructions, evals) in zip(
+                trim, self._minimize_all(trim)):
+            entry.words, entry.instructions = words, instructions
+            self.executions += evals
+        for entry, coverage in admitted:
+            if not self.corpus.add(entry):
+                continue
+            self.metrics.counter("corpus_adds").inc()
+            if self.config.lockstep:
+                detail = self.evaluator.check_divergence(entry.words)
+                if detail is not None:
+                    if self.triage.record_divergence(
+                            entry.words, detail, entry.instructions,
+                            entry.found_at):
+                        self.metrics.counter("findings.divergence").inc()
+            if self.telemetry.enabled:
+                self.telemetry.events.emit(
+                    "fuzz.coverage",
+                    execs=entry.found_at,
+                    corpus_size=len(self.corpus),
+                    coverage_elements=coverage,
+                    new_elements=len(entry.new_elements),
+                    input_words=len(entry.words),
+                )
+
+    def _minimize_all(self, entries: List[CorpusEntry]
+                      ) -> List[Tuple[Tuple[int, ...], int, int]]:
+        """:func:`_minimize` each entry, results in order: one entry per
+        pool chunk, so an idle worker takes the next one, or in a loop
+        here when there is no pool."""
+        inputs = [(entry.words, entry.signature, entry.instructions,
+                   self.config.minimize_evals) for entry in entries]
+        if self._pool is None or not inputs:
+            return [_minimize(self.evaluator, *item) for item in inputs]
+        parts = self._pool.map(_minimize_chunk,
+                               [((index,), item)
+                                for index, item in enumerate(inputs)])
+        return merge((index, trim) for (index,), trim, _, _ in parts)
 
     # -- main loop ---------------------------------------------------------
 
@@ -369,9 +410,9 @@ class FuzzEngine:
         last_report = started
         try:
             # Seed round: evaluate and admit in order (dedup by signature).
-            results = self._evaluate_batch([words for _, words in seeds])
-            for (name, words), result in zip(seeds, results):
-                self._process(words, result, name=name)
+            names = [name for name, _ in seeds]
+            batch = [words for _, words in seeds]
+            self._fold(batch, self._evaluate_batch(batch), names)
             # Mutation rounds.
             while self.mutant_execs < config.iterations:
                 if deadline is not None \
@@ -385,10 +426,7 @@ class FuzzEngine:
                     parent = self.corpus.schedule(self.rng)
                     batch.append(self.mutator.mutate(parent.words, self.rng,
                                                      donors))
-                results = self._evaluate_batch(batch)
-                for words, result in zip(batch, results):
-                    self.mutant_execs += 1
-                    self._process(words, result)
+                self._fold(batch, self._evaluate_batch(batch))
                 now = time.perf_counter()
                 if (self.telemetry.enabled or on_progress is not None) \
                         and now - last_report >= progress_interval:

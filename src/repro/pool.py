@@ -91,9 +91,15 @@ def _run(task):
 
 def start_pool(jobs: int, spec=None):
     """``jobs`` processes whose state is ``spec.build()``: ``fork`` where
-    offered (no interpreter re-import per worker), else ``spawn``."""
+    offered (no interpreter re-import per worker), else ``spawn``.
+
+    Raises :class:`RuntimeError` inside a daemonic process (a worker of
+    another pool), which may not have children."""
     import multiprocessing  # deferred: most runs never start a pool
 
+    if multiprocessing.current_process().daemon:
+        raise RuntimeError("a daemonic process (a pool worker) cannot "
+                           "start worker processes of its own")
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")

@@ -13,7 +13,8 @@ Determinism contract: a campaign is a pure function of ``(isa, config)``
 — the corpus is seeded, the matrix parse is pure, per-program results
 are independent, and escalation is deterministic — so ``jobs=N`` local
 pools (one contiguous program range per worker on
-:class:`repro.pool.Workers`), the ``verify`` service kind, and cluster
+:class:`repro.pool.Workers`, each worker handed the parent's built
+corpus), the ``verify`` service kind, and cluster
 ``verify_shard`` ranges all reproduce the single-process report
 byte-for-byte (wall-clock ``elapsed_seconds`` aside).
 
@@ -274,17 +275,25 @@ class VerifyResult:
 
 @dataclass(frozen=True)
 class VerifySpec:
-    """Everything a worker needs to rebuild the campaign — picklable."""
+    """Everything a worker needs to rebuild the campaign — picklable.
+
+    It carries the parent's built corpus, so a worker never regenerates
+    the programs, nor re-reads a ``file:PATH`` corpus that may have
+    changed since the parent computed its ``corpus_digest``.
+    """
 
     isa_name: str
     config: VerifyCampaignConfig
+    corpus: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
     def build(self) -> "DiffCampaign":
         # Counters stay off in workers: the parent counts the merged
         # ranges, so pooled and inline runs report the same totals.
-        return DiffCampaign(IsaConfig.from_string(self.isa_name),
-                            replace(self.config, jobs=1),
-                            telemetry=NULL_TELEMETRY)
+        campaign = DiffCampaign(IsaConfig.from_string(self.isa_name),
+                                replace(self.config, jobs=1),
+                                telemetry=NULL_TELEMETRY)
+        campaign._corpus = list(self.corpus)
+        return campaign
 
 
 def _verify_range(campaign: "DiffCampaign", bounds: Tuple[int, int]
@@ -473,8 +482,8 @@ class DiffCampaign:
         """
         done = [0]
         parts = []
-        with Workers(len(bounds), VerifySpec(self.isa.name,
-                                             self.config)) as workers:
+        spec = VerifySpec(self.isa.name, self.config, tuple(self.corpus()))
+        with Workers(len(bounds), spec) as workers:
             for (index,), found, _, _ in workers.map(
                     _verify_range, [((index,), bound) for index, bound
                                     in enumerate(bounds)],

@@ -98,3 +98,8 @@ class TestFuzzTrajectory:
         assert [e.words for e in seq_engine.corpus] == \
             [e.words for e in par_engine.corpus]
         assert sequential.triage.to_dict() == parallel.triage.to_dict()
+        assert sequential.executions == parallel.executions
+        assert [(e.found_at, e.instructions, e.name)
+                for e in seq_engine.corpus] == \
+            [(e.found_at, e.instructions, e.name)
+             for e in par_engine.corpus]

@@ -139,3 +139,33 @@ class TestLockstep:
             iterations=60, lockstep=True))
         engine.run()
         assert engine.triage.counts().get("divergence", 0) == 0
+
+
+class TestBatchFold:
+    def test_pooled_minimization_runs_in_the_workers(self):
+        engine = FuzzEngine(RV32IMC_ZICSR, quick_config(iterations=64,
+                                                        jobs=2))
+        calls = []
+        evaluate = engine.evaluator.evaluate
+        engine.evaluator.evaluate = \
+            lambda words: calls.append(words) or evaluate(words)
+        seeds = suite_seeds(RV32IMC_ZICSR, seed=3)
+        result = engine.run(seeds)
+        assert result.executions > result.iterations + len(seeds)
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_coverage_events_keep_per_admission_values(self, jobs):
+        with telemetry_session(Telemetry()) as session:
+            engine = FuzzEngine(RV32IMC_ZICSR, quick_config(jobs=jobs))
+            engine.run(suite_seeds(RV32IMC_ZICSR, seed=1))
+            events = [event for event in session.events.events
+                      if event["type"] == "fuzz.coverage"]
+        entries = engine.corpus.entries
+        assert len(events) == len(entries) > 1
+        union = set()
+        for k, (event, entry) in enumerate(zip(events, entries)):
+            union |= entry.signature
+            assert event["execs"] == entry.found_at
+            assert event["corpus_size"] == k + 1
+            assert event["coverage_elements"] == len(union)

@@ -2,6 +2,7 @@
 
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -355,3 +356,32 @@ class TestTelemetry:
             assert expected in types
         span = telemetry.events.last("job")
         assert span["dur_us"] >= 0 and span["kind"] == "vp_run"
+
+
+class TestProcessMode:
+    def test_pooled_job_succeeds_and_equals_thread_mode(self):
+        spec = JobSpec("verify", {"corpus": "torture:4",
+                                  "matrix": "interp:compiled", "seed": 3,
+                                  "jobs": 2})
+
+        def run(mode):
+            service = make_service(workers=1, mode=mode)
+            try:
+                job = service.submit(spec)
+                assert job.wait(120)
+                assert job.state == "succeeded", job.error
+                result = dict(job.result)
+                result.pop("elapsed_seconds", None)
+                return result
+            finally:
+                service.shutdown()
+
+        # The job's pool cannot start inside the service's daemonic
+        # worker, so it warns and runs in that worker (the warning is
+        # pinned by tests/test_pool.py).  The worker is forked and
+        # inherits this filter in place of the warning-as-error one.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "could not start",
+                                    RuntimeWarning)
+            in_process = run("process")
+        assert in_process == run("thread")

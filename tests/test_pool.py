@@ -150,6 +150,19 @@ class TestMapAndMerge:
         [(_, _, busy, pid)] = fallback.map(_offset_squares, [((0,), [3])])
         assert pid == os.getpid() and busy >= 0
 
+    def test_daemonic_process_falls_back(self, monkeypatch):
+        import os
+
+        # A pool worker is daemonic and may not have children.
+        monkeypatch.setitem(multiprocessing.current_process()._config,
+                            "daemon", True)
+        with pytest.warns(RuntimeWarning, match="daemonic"):
+            workers = pool.Workers(2, OffsetSpec(5))
+        with workers:
+            [(_, squares, _, pid)] = workers.map(_offset_squares,
+                                                 [((0,), [3])])
+        assert squares == [14] and pid == os.getpid()
+
     def test_poll_runs_while_waiting(self, pooled):
         calls = []
         chunks = [((0,), [2]), ((1,), [3])]
@@ -232,9 +245,10 @@ class TestSpecs:
         assert built.evaluate(words) == spec.build().evaluate(words)
 
     def test_verify_spec_builds_from_pickle(self):
-        spec = VerifySpec(RV32IMC_ZICSR.name, VERIFY_CONFIG)
-        built = pickle.loads(pickle.dumps(spec)).build()
         direct = DiffCampaign(RV32IMC_ZICSR, VERIFY_CONFIG)
+        spec = VerifySpec(RV32IMC_ZICSR.name, VERIFY_CONFIG,
+                          tuple(direct.corpus()))
+        built = pickle.loads(pickle.dumps(spec)).build()
         assert built.meta() == direct.meta()
         assert built.run_range(0, 2) == direct.run_range(0, 2)
 

@@ -11,6 +11,7 @@ from repro.isa import RV32IMC_ZICSR
 from repro.telemetry import Telemetry, telemetry_session
 from repro.verify import (DiffCampaign, RepeatBuilder, VerifyCampaignConfig,
                           build_corpus, corpus_size_hint)
+from repro.verify import campaign as campaign_module
 
 
 def canon(report):
@@ -134,6 +135,23 @@ class TestCampaignRuns:
             RV32IMC_ZICSR,
             VerifyCampaignConfig(**{**config.__dict__, "jobs": 2})).run()
         assert canon(inline.to_dict()) == canon(pooled.to_dict())
+
+    def test_pooled_workers_do_not_rebuild_the_corpus(self, monkeypatch):
+        config = VerifyCampaignConfig(corpus="torture:4",
+                                      matrix="interp:nocache",
+                                      max_instructions=2000)
+        inline = DiffCampaign(RV32IMC_ZICSR, config)
+        pooled = DiffCampaign(RV32IMC_ZICSR, VerifyCampaignConfig(
+            **{**config.__dict__, "jobs": 2}))
+        inline.corpus()
+        pooled.corpus()
+
+        def refuse(*args):
+            raise AssertionError("a worker rebuilt the corpus")
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(campaign_module, "build_corpus", refuse)
+        assert canon(pooled.run().to_dict()) == canon(inline.run().to_dict())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pooled_counters_match_inline(self, jobs):
