@@ -7,7 +7,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke perfbench-smoke fuzz-smoke jit-smoke cluster-smoke verify-smoke examples experiments clean
+.PHONY: test bench bench-report bench-smoke perfbench-smoke fuzz-smoke jit-smoke service-smoke observe-smoke cluster-smoke verify-smoke examples experiments clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -47,6 +47,16 @@ fuzz-smoke:
 # interpreter, speedup above the floor.
 jit-smoke:
 	$(PYTHON) examples/jit_smoke.py
+
+# Batch-service smoke: `repro serve` in a subprocess, a fault campaign
+# over HTTP byte-identical to the direct run.
+service-smoke:
+	$(PYTHON) examples/service_smoke.py
+
+# Observability smoke: /metrics, event tailing, trace propagation and
+# `repro top` against a live service.
+observe-smoke:
+	$(PYTHON) examples/observe_smoke.py
 
 # Cluster-fabric smoke: coordinator + 2 worker nodes, sharded seeded
 # campaign byte-identical to the single-process run, graceful drain.

@@ -12,7 +12,9 @@ runnable by hand:
     python examples/cluster_smoke.py
 
 Exits 0 on success, non-zero on any mismatch or timeout.  The whole run
-is bounded by HARD_TIMEOUT so a wedged process cannot hang CI.
+is bounded by HARD_TIMEOUT so a wedged process cannot hang CI.  The
+coordinator's stderr goes to a temporary file that is printed when the
+run fails.
 """
 
 import json
@@ -20,6 +22,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.error
 
@@ -81,12 +84,14 @@ def main():
 
     env = dict(os.environ, PYTHONPATH=src)
     url = f"http://127.0.0.1:{PORT}"
+    coordinator_log = tempfile.TemporaryFile(mode="w+")
     coordinator = subprocess.Popen(
         [sys.executable, "-m", "repro", "coordinator",
          "--port", str(PORT)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=env, stdout=subprocess.DEVNULL, stderr=coordinator_log)
     nodes = []
     client = ServiceClient(url, timeout=10)
+    passed = False
     try:
         wait_for(lambda: client.health()["status"] == "ok", deadline,
                  "coordinator health")
@@ -143,6 +148,7 @@ def main():
                 f"coordinator exited {coordinator.returncode}")
         print("smoke test passed: sharded cluster run byte-identical, "
               "graceful drain clean")
+        passed = True
     finally:
         for proc in nodes + [coordinator]:
             if proc.poll() is None:
@@ -151,6 +157,11 @@ def main():
                     proc.wait(timeout=10)
                 except subprocess.TimeoutExpired:
                     proc.kill()
+        if not passed:
+            coordinator_log.seek(0)
+            print(f"--- coordinator stderr (exit {coordinator.poll()}) ---\n"
+                  f"{coordinator_log.read()}", file=sys.stderr)
+        coordinator_log.close()
 
 
 if __name__ == "__main__":

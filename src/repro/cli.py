@@ -243,6 +243,11 @@ def cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, FuzzEngine, suite_seeds, trivial_seed
     from .telemetry import current_telemetry
 
+    if args.profile_out and args.jobs != 1:
+        print("error: --profile-out samples the in-process evaluator, "
+              "and worker processes run nearly every input; use --jobs 1 "
+              "to profile", file=sys.stderr)
+        return 2
     isa = _isa(args)
     config = FuzzConfig(
         iterations=args.iterations,
@@ -258,16 +263,9 @@ def cmd_fuzz(args) -> int:
     engine = FuzzEngine(isa, config)
     profiler = None
     if args.profile_out:
-        # Samples the in-process evaluator machine; with --jobs > 1 the
-        # worker processes run the batches and minimizations, so almost
-        # nothing is attributed.
         from .observe import SamplingProfiler
 
         profiler = engine.evaluator.machine.add_plugin(SamplingProfiler())
-        if args.jobs != 1:
-            print("note: --profile-out samples the in-process evaluator "
-                  "only, and worker processes run nearly every input; use "
-                  "--jobs 1 to profile", file=sys.stderr)
     if args.seeds == "trivial":
         seeds = trivial_seed(isa)
     else:
@@ -387,8 +385,7 @@ def cmd_serve(args) -> int:
                            queue_limit=args.queue_limit,
                            mode=args.mode)
     service.start()
-    server = ServiceServer(service, host=args.host, port=args.port,
-                           quiet=not args.verbose)
+    server = ServiceServer(service, host=args.host, port=args.port)
     print(f"repro batch service listening on {server.url} "
           f"({service.workers} {service.mode} workers, "
           f"queue limit {service.queue.limit}); observability: "
@@ -831,8 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="thread",
                    help="worker pool backing (process = worker "
                         "processes)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every HTTP request to stderr")
     telemetry_flags(p)
     p.set_defaults(func=cmd_serve)
 

@@ -1,10 +1,12 @@
 """Distributed simulation fabric over the batch-service layer.
 
-A coordinator (:class:`ClusterCoordinator`) owns the job queue and the
-client API; worker nodes (:class:`WorkerNode`) attach over the same
-stdlib HTTP/JSON protocol ``repro serve`` speaks, pull sharded work,
-execute it with the stock executor registry, and stream results back
-under heartbeat-renewed leases.  The design invariant — shard planning
+A coordinator (:class:`ClusterCoordinator`) owns the job queue and is
+the second front door on the client route table, transport and
+lifecycle of :mod:`repro.serve.api` and :mod:`repro.serve.http`; it adds
+the node routes.  Worker nodes (:class:`WorkerNode`) attach over that
+same stdlib HTTP/JSON protocol, pull sharded work, execute it with the
+stock executor registry, and stream results back under
+heartbeat-renewed leases.  The design invariant — shard planning
 is a pure function of the job spec, with an order-restoring merge on
 the coordinator — makes an N-node run byte-identical to single-process
 execution for any fixed seed, including across node death and lease

@@ -1,9 +1,9 @@
 """The cluster coordinator: job queue, shard dispatch, result merge.
 
-One coordinator owns the client-facing API (the same ``/v1/*`` routes as
-``repro serve``, so :class:`~repro.serve.client.ServiceClient`,
-``repro submit`` and ``repro top`` work unchanged) plus the node-facing
-pull protocol::
+One coordinator is a :class:`~repro.serve.api.FrontDoor`: it shares the
+``/v1/*`` client routes and lifecycle of ``repro serve`` (so ``repro
+submit`` and ``repro top`` work unchanged) and adds only the node-facing
+pull protocol and the cluster views::
 
     POST /v1/nodes/register          -> {"id", "heartbeat_interval", ...}
     POST /v1/nodes/<id>/heartbeat    {"stats": {...}}   renews leases
@@ -29,13 +29,13 @@ restarts.
 
 from __future__ import annotations
 
-import signal
 import threading
 import time
 from queue import SimpleQueue
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..pool import merge, ranges
+from ..serve.api import FrontDoor
 from ..serve.executors import _EXECUTORS, ExecutorError
 from ..serve.jobs import (Job, JobCancelled, JobContext, JobSpec, JobTimeout,
                           STATES)
@@ -51,7 +51,7 @@ from .store import JobStore
 __all__ = ["ClusterCoordinator"]
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(FrontDoor):
     """Coordinator node: admission, shard dispatch, lease recovery, merge.
 
     ::
@@ -70,8 +70,6 @@ class ClusterCoordinator:
                  max_attempts: int = 3,
                  quotas: Optional[TenantQuotas] = None,
                  telemetry=None) -> None:
-        from .frontend import SelectorHttpServer
-
         resolved = _resolve_telemetry(telemetry)
         if not resolved.enabled:
             from ..telemetry import Telemetry
@@ -91,7 +89,6 @@ class ClusterCoordinator:
         self._idle = threading.Condition(self._lock)
         self._accepting = False
         self._started = False
-        self._stopped = False
         self._node_drain = threading.Event()
         self._stop_loop = threading.Event()
         self._finalize_feed: SimpleQueue = SimpleQueue()
@@ -102,8 +99,7 @@ class ClusterCoordinator:
         self._replayed: List[Tuple[str, JobSpec]] = []
         if store_path is not None:
             self._recover(store_path)
-        self.frontend = SelectorHttpServer(self._route, host=host,
-                                           port=port)
+        super().__init__(self, host, port)
 
     # -- persistence ----------------------------------------------------
 
@@ -139,16 +135,12 @@ class ClusterCoordinator:
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def url(self) -> str:
-        return self.frontend.url
-
     def start(self) -> "ClusterCoordinator":
         if self._started:
             raise RuntimeError("coordinator already started")
         self._started = True
         self._accepting = True
-        self.frontend.start()
+        self.frontend.start("cluster-frontend")
         for target, name in ((self._scheduler_loop, "cluster-scheduler"),
                              (self._finalizer_loop, "cluster-finalizer"),
                              (self._reaper_loop, "cluster-reaper")):
@@ -180,46 +172,12 @@ class ClusterCoordinator:
                 self._job_finished(job)
         return self
 
-    def __enter__(self) -> "ClusterCoordinator":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
-    def serve_forever(self) -> None:
-        """Run in the foreground (the ``repro coordinator`` entry point)."""
-        try:
-            while not self._stop_loop.wait(0.5):
-                pass
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.shutdown()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM and SIGINT both drain gracefully (containers send
-        SIGTERM); mirrors ``ServiceServer.install_signal_handlers``."""
-        def handle(signum, frame):  # pragma: no cover - signal path
-            self._stop_loop.set()
-
-        signal.signal(signal.SIGTERM, handle)
-        signal.signal(signal.SIGINT, handle)
-
-    def shutdown(self, drain: bool = True,
-                 timeout: Optional[float] = None) -> None:
-        """Stop the coordinator.
-
-        ``drain=True`` stops admission, waits for every queued and
+    def _stop(self, drain: bool, timeout: Optional[float]) -> None:
+        """``drain=True`` stops admission, waits for every queued and
         in-flight job to resolve (nodes keep pulling), then tells nodes
         to drain and closes.  ``drain=False`` cancels queued jobs and
-        closes immediately.
-        """
+        closes immediately."""
         with self._lock:
-            if self._stopped:
-                return
-            self._stopped = True
             self._accepting = False
         if not drain:
             for job in self.queue.drain():
@@ -282,7 +240,11 @@ class ClusterCoordinator:
             if not self._accepting:
                 raise ServiceClosed("coordinator is shutting down")
             job = Job(spec, job_id=f"job-{self._next_job_number}")
-            self.quotas.acquire(spec.tenant)
+            try:
+                self.quotas.acquire(spec.tenant)
+            except QuotaExceeded:
+                self._metrics.counter("quota_rejected").inc()
+                raise
             try:
                 self.queue.put(job)
             except QueueFull:
@@ -633,135 +595,44 @@ class ClusterCoordinator:
             self._finalize_feed.put(item.job_id)
         return {"id": item_id, "state": item.state, "stale": False}
 
-    # -- HTTP router -----------------------------------------------------
+    # -- HTTP routes ----------------------------------------------------
 
-    def _route(self, method: str, path: str, query: Dict[str, str],
-               body: Optional[dict]) -> tuple:
-        """The frontend router; mirrors :mod:`repro.serve.api` routes."""
-        body = body or {}
-        route = tuple(part for part in path.strip("/").split("/") if part)
-        try:
-            if method == "GET":
-                return self._route_get(route, query)
-            if method == "POST":
-                return self._route_post(route, body)
-        except (ValueError, TypeError) as exc:
-            return 400, {"error": str(exc)}
-        return 405, {"error": f"method {method} not allowed"}
+    def live_gauges(self) -> Dict[str, Any]:
+        """The extra ``/metrics`` gauges, read at scrape time."""
+        counts = self.work.counts()
+        extra = {
+            "repro_cluster_nodes_live": len(self.nodes),
+            "repro_cluster_work_pending_live": counts["pending"],
+            "repro_cluster_work_leased_live": counts["leased"],
+            "repro_cluster_work_done_live": counts["done"],
+            "repro_cluster_queue_depth_live": self.queue.depth(),
+        }
+        # Aggregate node-reported execution counters so one scrape of
+        # the coordinator sees the whole cluster's throughput.
+        executed = failed = 0
+        for row in self.nodes.rows():
+            stats = row.get("stats") or {}
+            executed += int(stats.get("executed", 0) or 0)
+            failed += int(stats.get("failed", 0) or 0)
+        extra["repro_cluster_node_executed_total"] = executed
+        extra["repro_cluster_node_failed_total"] = failed
+        return extra
 
-    def _route_get(self, route: tuple, query: Dict[str, str]) -> tuple:
-        if route == ("metrics",):
-            from ..telemetry.prometheus import (CONTENT_TYPE,
-                                                render_prometheus)
-
-            counts = self.work.counts()
-            extra = {
-                "repro_cluster_nodes_live": len(self.nodes),
-                "repro_cluster_work_pending_live": counts["pending"],
-                "repro_cluster_work_leased_live": counts["leased"],
-                "repro_cluster_work_done_live": counts["done"],
-                "repro_cluster_queue_depth_live": self.queue.depth(),
-            }
-            # Aggregate node-reported execution counters so one scrape
-            # of the coordinator sees the whole cluster's throughput.
-            executed = failed = 0
-            for row in self.nodes.rows():
-                stats = row.get("stats") or {}
-                executed += int(stats.get("executed", 0) or 0)
-                failed += int(stats.get("failed", 0) or 0)
-            extra["repro_cluster_node_executed_total"] = executed
-            extra["repro_cluster_node_failed_total"] = failed
-            text = render_prometheus(self.telemetry.metrics.to_dict(),
-                                     extra_gauges=extra)
-            return 200, text, {"Content-Type": CONTENT_TYPE}
-        if route == ("v1", "events"):
-            since = int(query.get("since", "0"))
-            return 200, self.telemetry.events.tail(since)
-        if route == ("v1", "fuzz", "frontier"):
-            from ..observe.frontier import frontier_from_events
-
-            events = list(self.telemetry.events)
-            return 200, frontier_from_events(events)
-        if route == ("v1", "health"):
-            stats = self.stats()
-            status = "ok" if stats["accepting"] else "draining"
-            return 200, {"status": status, **stats}
-        if route == ("v1", "stats"):
-            return 200, {"service": self.stats(),
-                         "metrics": self.telemetry.metrics.to_dict()}
-        if route == ("v1", "kinds"):
-            from ..serve.executors import job_kinds
-
-            return 200, {"kinds": job_kinds()}
-        if route == ("v1", "cluster", "nodes"):
-            return 200, {"nodes": self.nodes.rows(),
-                         "total": len(self.nodes)}
-        if route == ("v1", "cluster", "work"):
-            counts = self.work.counts()
-            return 200, {"counts": counts,
-                         "completed_total": self.work.completed_total,
-                         "requeued_total": self.work.requeued_total}
-        if route == ("v1", "jobs"):
-            state = query.get("state")
-            jobs = [job.to_dict() for job in list(self.jobs.values())
-                    if state is None or job.state == state]
-            return 200, {"jobs": jobs, "total": len(jobs)}
-        if len(route) == 3 and route[:2] == ("v1", "jobs"):
-            job = self.get_job(route[2])
-            if job is None:
-                return 404, {"error": f"no such job: {route[2]}"}
-            return 200, job.to_dict()
-        if len(route) == 4 and route[:2] == ("v1", "jobs") \
-                and route[3] == "result":
-            job = self.get_job(route[2])
-            if job is None:
-                return 404, {"error": f"no such job: {route[2]}"}
-            if not job.done:
-                return (409, {"error": f"job {job.id} is {job.state}; "
-                              "result not available yet"},
-                        {"Retry-After": "1"})
-            return 200, job.to_dict(with_result=True)
-        if len(route) == 4 and route[:2] == ("v1", "jobs") \
-                and route[3] == "events":
-            job = self.get_job(route[2])
-            if job is None:
-                return 404, {"error": f"no such job: {route[2]}"}
-            return 200, {"id": job.id, "state": job.state,
-                         "traced": job.spec.trace is not None,
-                         "events": list(job.trace_events)}
-        return 404, {"error": f"unknown endpoint: /{'/'.join(route)}"}
-
-    def _route_post(self, route: tuple, body: dict) -> tuple:
-        if route == ("v1", "jobs"):
-            try:
-                spec = JobSpec.from_dict(body)
-                job = self.submit(spec)
-            except QueueFull as exc:
-                return 429, {"error": str(exc)}, {"Retry-After": "1"}
-            except QuotaExceeded as exc:
-                self._metrics.counter("quota_rejected").inc()
-                return 429, {"error": str(exc)}, {"Retry-After": "2"}
-            except ServiceClosed as exc:
-                return 503, {"error": str(exc)}
-            except (ExecutorError, ValueError, TypeError) as exc:
-                return 400, {"error": str(exc)}
-            return 202, job.to_dict()
-        if len(route) == 4 and route[:2] == ("v1", "jobs") \
-                and route[3] == "cancel":
-            job = self.get_job(route[2])
-            if job is None:
-                return 404, {"error": f"no such job: {route[2]}"}
-            changed = self.cancel(job.id)
-            return 200, {"id": job.id, "cancelled": changed,
-                         "state": job.state}
-        if route == ("v1", "shutdown"):
-            drain = bool(body.get("drain", True))
-
-            def stop():
-                self.shutdown(drain=drain)
-
-            threading.Thread(target=stop, daemon=True).start()
-            return 202, {"status": "shutting down", "drain": drain}
+    def _door_route(self, method: str, route: Tuple[str, ...],
+                    body: dict) -> Optional[tuple]:
+        """The node protocol and cluster views; the client routes fall
+        through to the shared table."""
+        if method == "GET":
+            if route == ("v1", "cluster", "nodes"):
+                return 200, {"nodes": self.nodes.rows(),
+                             "total": len(self.nodes)}
+            if route == ("v1", "cluster", "work"):
+                return 200, {"counts": self.work.counts(),
+                             "completed_total": self.work.completed_total,
+                             "requeued_total": self.work.requeued_total}
+            return None
+        if method != "POST":
+            return None
         if route == ("v1", "nodes", "register"):
             return 200, self._register_node(body)
         if len(route) == 4 and route[:2] == ("v1", "nodes"):
@@ -784,4 +655,4 @@ class ClusterCoordinator:
             if reply is None:
                 return 404, {"error": f"unknown work item: {route[2]}"}
             return 200, reply
-        return 404, {"error": f"unknown endpoint: /{'/'.join(route)}"}
+        return None

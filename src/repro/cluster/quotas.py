@@ -4,10 +4,11 @@ The admission queue bounds *total* in-flight work; quotas bound each
 tenant's share so one noisy tenant cannot monopolize the cluster.  A
 tenant's budget counts **active** jobs — queued plus running — and is
 released when the job resolves.  Exceeding the budget raises
-:class:`QuotaExceeded`, which the coordinator's HTTP layer maps to the
-same ``429 + Retry-After`` contract as a full queue, so existing client
-backoff handles both identically.  Jobs without a ``tenant`` label are
-exempt (quotas are opt-in per submission).
+:class:`QuotaExceeded`, a :class:`~repro.serve.queue.QueueFull` that
+the shared route table maps to the same ``429 + Retry-After`` contract
+as a full queue (with a 2 s hint), so existing client backoff handles
+both identically.  Jobs without a ``tenant`` label are exempt (quotas
+are opt-in per submission).
 """
 
 from __future__ import annotations
@@ -15,15 +16,19 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
+from ..serve.queue import QueueFull
+
 __all__ = ["QuotaExceeded", "TenantQuotas"]
 
 
-class QuotaExceeded(Exception):
+class QuotaExceeded(QueueFull):
     """A tenant is at its active-job limit (HTTP 429)."""
 
+    retry_after = 2
+
     def __init__(self, tenant: str, limit: int) -> None:
-        super().__init__(f"tenant {tenant!r} is at its quota "
-                         f"({limit} active jobs); retry later")
+        Exception.__init__(self, f"tenant {tenant!r} is at its quota "
+                           f"({limit} active jobs); retry later")
         self.tenant = tenant
         self.limit = limit
 

@@ -12,7 +12,10 @@ a submittable **job** executed by a long-lived process:
   payloads onto the existing library entry points,
 * :mod:`repro.serve.service` — the scheduler + persistent worker pool
   (threads by default, :mod:`repro.pool` worker processes on request),
-* :mod:`repro.serve.api` — a stdlib HTTP/JSON front end
+* :mod:`repro.serve.http` — the one HTTP transport, a selector event
+  loop the service and the cluster coordinator both answer on,
+* :mod:`repro.serve.api` — the ``/v1/*`` route table and foreground
+  lifecycle both front doors share, and ``ServiceServer``
   (``python -m repro serve``),
 * :mod:`repro.serve.client` — a thin :mod:`urllib`-based client used by
   ``python -m repro submit``.

@@ -1,4 +1,4 @@
-"""Stdlib HTTP/JSON front end for the batch service.
+"""The ``/v1/*`` client API and the lifecycle of both HTTP front doors.
 
 Endpoints (all JSON; no third-party dependencies)::
 
@@ -16,233 +16,242 @@ Endpoints (all JSON; no third-party dependencies)::
     POST /v1/jobs/<id>/cancel  cooperative cancel
     POST /v1/shutdown          graceful shutdown (body: {"drain": bool})
 
+:class:`FrontDoor` holds this one route table and the one foreground
+lifecycle for both doors: :class:`ServiceServer` (``repro serve``, over a
+:class:`~repro.serve.service.BatchService`) and
+:class:`~repro.cluster.coordinator.ClusterCoordinator` (which adds its
+node and cluster routes).  Both answer on the selector transport of
+:mod:`repro.serve.http`.  The table reads from the object that owns the
+jobs: ``submit``, ``get_job``, ``cancel``, ``jobs``, ``stats()``,
+``telemetry`` and ``live_gauges()`` (the door's extra ``/metrics``
+gauges).
+
 Backpressure is surfaced exactly as web services do it: a full admission
 queue answers **429 Too Many Requests** with a ``Retry-After`` hint, and
-a draining service answers **503**.  The server itself is a
-``ThreadingHTTPServer`` — handlers only touch the thread-safe service
-object, the real work happens on the service's worker pool.
+a draining service answers **503**.  A malformed request is a **400**,
+an oversized body a **413**, a method other than GET/POST a **405**.
+``POST /v1/shutdown`` answers 202 and then shuts the door down; the
+foreground :meth:`FrontDoor.serve_forever` returns only once that
+shutdown has finished and the reply has been written.
 """
 
 from __future__ import annotations
 
-import json
 import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .executors import ExecutorError, job_kinds
+from .http import SelectorHttpServer
 from .jobs import JobSpec
 from .queue import QueueFull
 from .service import BatchService, ServiceClosed
 
-__all__ = ["ServiceServer", "make_handler"]
-
-MAX_BODY_BYTES = 8 * 1024 * 1024  # plenty for assembly sources
+__all__ = ["FrontDoor", "ServiceServer"]
 
 
-def make_handler(service: BatchService, quiet: bool = True,
-                 on_shutdown=None):
-    """Build the request-handler class bound to ``service``.
+class FrontDoor:
+    """One HTTP front door: the client route table, the selector
+    frontend, a foreground loop, signal handlers and an idempotent
+    :meth:`shutdown`.
 
-    ``on_shutdown`` (if given) runs after a ``POST /v1/shutdown``
-    finished draining the service — the server uses it to stop the HTTP
-    loop so a foreground ``repro serve`` process exits cleanly.
+    A subclass provides ``_stop(drain, timeout)``, may extend
+    ``start()`` and may answer more routes in ``_door_route``;
+    ``backend`` is the object that owns the jobs (see the module
+    docstring).
     """
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-serve/1.0"
+    def __init__(self, backend, host: str, port: int) -> None:
+        self._backend = backend
+        self._stopped = False
+        self._shutdown_lock = threading.Lock()
+        self._shutdown_done = threading.Event()
+        self._stop_requested = threading.Event()
+        self.frontend = SelectorHttpServer(self._route, host=host,
+                                           port=port)
 
-        # -- plumbing ---------------------------------------------------
+    @property
+    def host(self) -> str:
+        return self.frontend.host
 
-        def log_message(self, format, *args):  # noqa: A002
-            if not quiet:
-                super().log_message(format, *args)
+    @property
+    def port(self) -> int:
+        return self.frontend.port
 
-        def _send_json(self, status: int, body: dict,
-                       headers: Optional[dict] = None) -> None:
-            blob = json.dumps(body, sort_keys=True).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(blob)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(blob)
+    @property
+    def url(self) -> str:
+        return self.frontend.url
 
-        def _error(self, status: int, message: str,
-                   headers: Optional[dict] = None) -> None:
-            self._send_json(status, {"error": message}, headers)
+    # -- lifecycle ------------------------------------------------------
 
-        def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
-                raise ValueError(f"request body exceeds {MAX_BODY_BYTES} "
-                                 "bytes")
-            if length == 0:
-                return {}
-            blob = self.rfile.read(length)
-            try:
-                body = json.loads(blob)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(body, dict):
-                raise ValueError("request body must be a JSON object")
-            return body
+    def start(self) -> "FrontDoor":
+        self.frontend.start()
+        return self
 
-        def _route(self) -> Tuple[str, ...]:
-            path = self.path.split("?", 1)[0].strip("/")
-            return tuple(part for part in path.split("/") if part)
+    def serve_forever(self) -> None:
+        """Run in the foreground (the ``repro serve`` and ``repro
+        coordinator`` entry points) until a signal or ``POST
+        /v1/shutdown``; returns once the shutdown has finished."""
+        if not self.frontend.started:
+            self.start()
+        try:
+            while not self._stop_requested.wait(0.5):
+                pass
+        except KeyboardInterrupt:  # pragma: no cover - interactive
+            pass
+        finally:
+            self.shutdown()
 
-        def _query(self) -> dict:
-            if "?" not in self.path:
-                return {}
-            from urllib.parse import parse_qs
+    def install_signal_handlers(self) -> None:
+        """SIGTERM and SIGINT both drain gracefully.
 
-            raw = parse_qs(self.path.split("?", 1)[1])
-            return {key: values[-1] for key, values in raw.items()}
+        Containerized shutdowns send SIGTERM; without this handler the
+        process dies mid-job and in-flight work is lost.  The handler
+        only wakes :meth:`serve_forever`, whose ``finally`` then drains
+        exactly as a ``KeyboardInterrupt`` would.  Must be called from
+        the main thread.
+        """
+        def handle(signum, frame):  # pragma: no cover - signal path
+            self._stop_requested.set()
 
-        def _send_text(self, status: int, text: str,
-                       content_type: str) -> None:
-            blob = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(blob)))
-            self.end_headers()
-            self.wfile.write(blob)
+        signal.signal(signal.SIGTERM, handle)
+        signal.signal(signal.SIGINT, handle)
 
-        # -- GET --------------------------------------------------------
+    def shutdown(self, drain: bool = True,
+                 timeout: Optional[float] = None) -> None:
+        """Stop the door: ``drain=True`` lets queued and in-flight jobs
+        finish, ``drain=False`` cancels the queued ones.
 
-        def do_GET(self) -> None:  # noqa: N802 — http.server API
-            route = self._route()
-            if route == ("metrics",):
-                from ..telemetry.prometheus import (CONTENT_TYPE,
-                                                    render_prometheus)
+        Signal handlers, ``POST /v1/shutdown``, ``serve_forever``'s
+        cleanup and explicit calls may race: the first caller shuts
+        down, and every later caller blocks until it has finished.
+        """
+        with self._shutdown_lock:
+            first = not self._stopped
+            self._stopped = True
+        if not first:
+            self._shutdown_done.wait()
+            return
+        try:
+            self._stop(drain, timeout)
+        finally:
+            self._shutdown_done.set()
+            self._stop_requested.set()
 
-                stats = service.stats()
-                log_stats = stats["events"]
-                extra = {
-                    "repro_serve_queue_depth_live": stats["queue_depth"],
-                    "repro_serve_running_live": stats["running"],
-                    "repro_events_dropped": log_stats["dropped_events"],
-                    "repro_events_overflowed":
-                        1 if log_stats["overflowed"] else 0,
-                    "repro_events_appended": log_stats["total_appended"],
-                }
-                text = render_prometheus(
-                    service.telemetry.metrics.to_dict(), extra_gauges=extra)
-                return self._send_text(200, text, CONTENT_TYPE)
-            if route == ("v1", "events"):
-                query = self._query()
-                try:
-                    since = int(query.get("since", "0"))
-                    tail = service.telemetry.events.tail(since)
-                except ValueError as exc:
-                    return self._error(400, str(exc))
-                return self._send_json(200, tail)
-            if route == ("v1", "fuzz", "frontier"):
-                from ..observe.frontier import frontier_from_events
+    def __enter__(self) -> "FrontDoor":
+        if not self.frontend.started:
+            self.start()
+        return self
 
-                events = list(service.telemetry.events)
-                return self._send_json(200, frontier_from_events(events))
-            if route == ("v1", "health"):
-                stats = service.stats()
-                status = "ok" if stats["accepting"] else "draining"
-                return self._send_json(200, {"status": status, **stats})
-            if route == ("v1", "stats"):
-                return self._send_json(200, {
-                    "service": service.stats(),
-                    "metrics": service.telemetry.metrics.to_dict(),
-                })
-            if route == ("v1", "kinds"):
-                return self._send_json(200, {"kinds": job_kinds()})
-            if route == ("v1", "jobs"):
-                state = self._query().get("state")
-                jobs = [job.to_dict() for job in
-                        list(service.jobs.values())
-                        if state is None or job.state == state]
-                return self._send_json(200, {"jobs": jobs,
-                                             "total": len(jobs)})
-            if len(route) == 3 and route[:2] == ("v1", "jobs"):
-                job = service.get_job(route[2])
-                if job is None:
-                    return self._error(404, f"no such job: {route[2]}")
-                return self._send_json(200, job.to_dict())
-            if len(route) == 4 and route[:2] == ("v1", "jobs") \
-                    and route[3] == "result":
-                job = service.get_job(route[2])
-                if job is None:
-                    return self._error(404, f"no such job: {route[2]}")
-                if not job.done:
-                    return self._error(
-                        409, f"job {job.id} is {job.state}; result not "
-                        "available yet", {"Retry-After": "1"})
-                return self._send_json(200, job.to_dict(with_result=True))
-            if len(route) == 4 and route[:2] == ("v1", "jobs") \
-                    and route[3] == "events":
-                job = service.get_job(route[2])
-                if job is None:
-                    return self._error(404, f"no such job: {route[2]}")
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.shutdown()
+
+    # -- routes ---------------------------------------------------------
+
+    def _route(self, method: str, path: str, query: Dict[str, str],
+               body: Optional[dict]) -> tuple:
+        """The frontend router: the door's own routes, then the client
+        table."""
+        route = tuple(part for part in path.strip("/").split("/") if part)
+        body = body or {}
+        try:
+            reply = self._door_route(method, route, body)
+            if reply is not None:
+                return reply
+            if method == "GET":
+                return self._get(route, query)
+            if method == "POST":
+                return self._post(route, body)
+        except (ValueError, TypeError) as exc:
+            return 400, {"error": str(exc)}
+        return 405, {"error": f"method {method} not allowed"}
+
+    def _door_route(self, method: str, route: Tuple[str, ...],
+                    body: dict) -> Optional[tuple]:
+        """Routes only this door answers; ``None`` falls through."""
+        return None
+
+    def _get(self, route: Tuple[str, ...], query: Dict[str, str]) -> tuple:
+        backend = self._backend
+        if route == ("metrics",):
+            from ..telemetry.prometheus import (CONTENT_TYPE,
+                                                render_prometheus)
+
+            text = render_prometheus(backend.telemetry.metrics.to_dict(),
+                                     extra_gauges=backend.live_gauges())
+            return 200, text, {"Content-Type": CONTENT_TYPE}
+        if route == ("v1", "events"):
+            since = int(query.get("since", "0"))
+            return 200, backend.telemetry.events.tail(since)
+        if route == ("v1", "fuzz", "frontier"):
+            from ..observe.frontier import frontier_from_events
+
+            return 200, frontier_from_events(list(backend.telemetry.events))
+        if route == ("v1", "health"):
+            stats = backend.stats()
+            status = "ok" if stats["accepting"] else "draining"
+            return 200, {"status": status, **stats}
+        if route == ("v1", "stats"):
+            return 200, {"service": backend.stats(),
+                         "metrics": backend.telemetry.metrics.to_dict()}
+        if route == ("v1", "kinds"):
+            return 200, {"kinds": job_kinds()}
+        if route == ("v1", "jobs"):
+            state = query.get("state")
+            jobs = [job.to_dict() for job in list(backend.jobs.values())
+                    if state is None or job.state == state]
+            return 200, {"jobs": jobs, "total": len(jobs)}
+        if route[:2] == ("v1", "jobs") and (
+                len(route) == 3
+                or len(route) == 4 and route[3] in ("result", "events")):
+            job = backend.get_job(route[2])
+            if job is None:
+                return 404, {"error": f"no such job: {route[2]}"}
+            if len(route) == 3:
+                return 200, job.to_dict()
+            if route[3] == "events":
                 events = sorted(list(job.trace_events),
-                                key=lambda e: e.get("ts_us", 0))
-                return self._send_json(200, {
-                    "id": job.id,
-                    "state": job.state,
-                    "traced": job.spec.trace is not None,
-                    "events": events,
-                })
-            return self._error(404, f"unknown endpoint: {self.path}")
+                                key=lambda event: event.get("ts_us", 0))
+                return 200, {"id": job.id, "state": job.state,
+                             "traced": job.spec.trace is not None,
+                             "events": events}
+            if not job.done:
+                return 409, {"error": f"job {job.id} is {job.state}; result "
+                             "not available yet"}, {"Retry-After": "1"}
+            return 200, job.to_dict(with_result=True)
+        return 404, {"error": f"unknown endpoint: /{'/'.join(route)}"}
 
-        # -- POST -------------------------------------------------------
-
-        def do_POST(self) -> None:  # noqa: N802 — http.server API
-            route = self._route()
+    def _post(self, route: Tuple[str, ...], body: dict) -> tuple:
+        backend = self._backend
+        if route == ("v1", "jobs"):
             try:
-                body = self._read_body()
-            except ValueError as exc:
-                return self._error(400, str(exc))
-            if route == ("v1", "jobs"):
-                return self._submit(body)
-            if len(route) == 4 and route[:2] == ("v1", "jobs") \
-                    and route[3] == "cancel":
-                job = service.get_job(route[2])
-                if job is None:
-                    return self._error(404, f"no such job: {route[2]}")
-                changed = service.cancel(job.id)
-                return self._send_json(200, {"id": job.id,
-                                             "cancelled": changed,
-                                             "state": job.state})
-            if route == ("v1", "shutdown"):
-                drain = bool(body.get("drain", True))
-
-                def stop():
-                    service.shutdown(drain=drain)
-                    if on_shutdown is not None:
-                        on_shutdown()
-
-                threading.Thread(target=stop, daemon=True).start()
-                return self._send_json(202, {"status": "shutting down",
-                                             "drain": drain})
-            return self._error(404, f"unknown endpoint: {self.path}")
-
-        def _submit(self, body: dict) -> None:
-            try:
-                spec = JobSpec.from_dict(body)
-                job = service.submit(spec)
+                job = backend.submit(JobSpec.from_dict(body))
             except QueueFull as exc:
-                return self._error(429, str(exc), {"Retry-After": "1"})
+                return 429, {"error": str(exc)}, {
+                    "Retry-After": str(exc.retry_after)}
             except ServiceClosed as exc:
-                return self._error(503, str(exc))
-            except (ExecutorError, ValueError, TypeError) as exc:
-                return self._error(400, str(exc))
-            return self._send_json(202, job.to_dict())
+                return 503, {"error": str(exc)}
+            except ExecutorError as exc:
+                return 400, {"error": str(exc)}
+            return 202, job.to_dict()
+        if len(route) == 4 and route[:2] == ("v1", "jobs") \
+                and route[3] == "cancel":
+            job = backend.get_job(route[2])
+            if job is None:
+                return 404, {"error": f"no such job: {route[2]}"}
+            changed = backend.cancel(job.id)
+            return 200, {"id": job.id, "cancelled": changed,
+                         "state": job.state}
+        if route == ("v1", "shutdown"):
+            drain = bool(body.get("drain", True))
+            threading.Thread(target=self.shutdown, kwargs={"drain": drain},
+                             name="http-shutdown", daemon=True).start()
+            return 202, {"status": "shutting down", "drain": drain}
+        return 404, {"error": f"unknown endpoint: /{'/'.join(route)}"}
 
-    return Handler
 
-
-class ServiceServer:
-    """The HTTP server + its service, ready to run in the background.
+class ServiceServer(FrontDoor):
+    """``repro serve``: the client API over one :class:`BatchService`.
 
     ::
 
@@ -253,85 +262,16 @@ class ServiceServer:
     """
 
     def __init__(self, service: BatchService, host: str = "127.0.0.1",
-                 port: int = 8972, quiet: bool = True) -> None:
+                 port: int = 8972) -> None:
+        super().__init__(service, host, port)
         self.service = service
-        self.httpd = ThreadingHTTPServer(
-            (host, port),
-            make_handler(service, quiet=quiet,
-                         on_shutdown=lambda: self.httpd.shutdown()))
-        self.httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-        self._close_lock = threading.Lock()
-        self._closed = False
-
-    @property
-    def host(self) -> str:
-        return self.httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        name="serve-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Run in the foreground (the ``repro serve`` entry point)."""
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.close()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM and SIGINT both drain gracefully.
-
-        Containerized shutdowns send SIGTERM; without this handler the
-        process dies mid-job and in-flight work is lost.  The handler
-        only asks the HTTP loop to stop — ``serve_forever``'s ``finally``
-        then drains the service and flushes final stats exactly as a
-        ``KeyboardInterrupt`` would.  Must be called from the main
-        thread (a no-op request elsewhere would raise).
-        """
-        def handle(signum, frame):  # pragma: no cover - signal path
-            # shutdown() blocks until serve_forever returns, so hop to a
-            # helper thread; the signal handler itself must not block.
-            threading.Thread(target=self.httpd.shutdown,
-                             daemon=True).start()
-
-        signal.signal(signal.SIGTERM, handle)
-        signal.signal(signal.SIGINT, handle)
 
     def close(self, drain: bool = True) -> None:
-        """Stop accepting requests, then shut the service down.
+        """Shut the service down, then stop the HTTP frontend."""
+        self.shutdown(drain=drain)
 
-        Idempotent: signal handlers, ``serve_forever``'s cleanup, and
-        explicit calls may race, and every path after the first is a
-        no-op.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.service.shutdown(drain=drain)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "ServiceServer":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    def _stop(self, drain: bool, timeout: Optional[float]) -> None:
+        # The frontend stays up while the service drains, so clients see
+        # 503 and "draining" rather than a refused connection.
+        self.service.shutdown(drain=drain, timeout=timeout)
+        self.frontend.close()

@@ -30,6 +30,9 @@ __all__ = ["AdmissionQueue", "QueueClosed", "QueueFull"]
 class QueueFull(Exception):
     """Admission rejected: the queue is at capacity (HTTP 429)."""
 
+    #: Seconds the 429 reply's ``Retry-After`` header asks clients to wait.
+    retry_after = 1
+
     def __init__(self, limit: int) -> None:
         super().__init__(f"queue full ({limit} jobs queued); retry later")
         self.limit = limit

@@ -249,6 +249,18 @@ class BatchService:
             "events": self.telemetry.events.stats(),
         }
 
+    def live_gauges(self) -> Dict[str, Any]:
+        """The extra ``/metrics`` gauges, read at scrape time."""
+        stats = self.stats()
+        log_stats = stats["events"]
+        return {
+            "repro_serve_queue_depth_live": stats["queue_depth"],
+            "repro_serve_running_live": stats["running"],
+            "repro_events_dropped": log_stats["dropped_events"],
+            "repro_events_overflowed": 1 if log_stats["overflowed"] else 0,
+            "repro_events_appended": log_stats["total_appended"],
+        }
+
     # -- scheduler ------------------------------------------------------
 
     def _scheduler_loop(self) -> None:

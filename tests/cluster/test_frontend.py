@@ -2,13 +2,14 @@
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.cluster.frontend import SelectorHttpServer
+from repro.serve.http import SelectorHttpServer
 
 
 def _router(method, path, query, body):
@@ -106,16 +107,26 @@ class TestRequests:
         assert excinfo.value.code == 400
 
     def test_oversized_body_413(self, server):
-        conn = http.client.HTTPConnection(server.host, server.port,
-                                          timeout=5)
+        raw = socket.create_connection((server.host, server.port),
+                                       timeout=5)
         try:
-            conn.putrequest("POST", "/echo")
-            conn.putheader("Content-Length", str(9 * 1024 * 1024))
-            conn.endheaders()
-            response = conn.getresponse()
-            assert response.status == 413
+            raw.sendall(f"POST /echo HTTP/1.1\r\nHost: {server.host}\r\n"
+                        f"Content-Length: {9 * 1024 * 1024}\r\n"
+                        "\r\n".encode())
+            # The unread body cannot be skipped, so the server answers
+            # once and closes the socket: reading runs into EOF.
+            blob = b""
+            while True:
+                chunk = raw.recv(65536)
+                if not chunk:
+                    break
+                blob += chunk
         finally:
-            conn.close()
+            raw.close()
+        head = blob.split(b"\r\n\r\n", 1)[0].decode()
+        assert head.startswith("HTTP/1.1 413")
+        assert "Connection: close" in head.split("\r\n")
+        assert blob.count(b"HTTP/1.1") == 1
 
 
 class TestConnections:
@@ -167,10 +178,15 @@ class TestConnections:
         srv.close()
         srv.close()
 
+    def test_close_unstarted_releases_port(self):
+        srv = SelectorHttpServer(_router, port=0)
+        port = srv.port
+        srv.close()
+        srv.close()
+        SelectorHttpServer(_router, port=port).close()
+
     def test_pipelined_requests_in_one_buffer(self, server):
         # Two complete requests written back-to-back are both answered.
-        import socket
-
         raw = socket.create_connection((server.host, server.port),
                                        timeout=5)
         try:

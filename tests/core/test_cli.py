@@ -154,6 +154,16 @@ class TestErrors:
         assert main(["disasm", str(path)]) == 2
         assert "unknown mnemonic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["2", "0"])
+    def test_fuzz_profile_needs_jobs_1(self, tmp_path, capsys, jobs):
+        # Worker processes run nearly every input, so a pooled fuzz run
+        # would write an empty profile: refused, and no file written.
+        out = tmp_path / "fuzz.folded"
+        assert main(["fuzz", "--seeds", "trivial", "-n", "8",
+                     "--jobs", jobs, "--profile-out", str(out)]) == 2
+        assert "--jobs 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWcetFlags:
     def test_icache_flag(self, program_file, capsys):
